@@ -237,11 +237,12 @@ mod tests {
             span(4, 1, "c", 80, 90),
         ];
         let t = layer_times(&spans);
-        assert!((t["root"].self_s * 1e9 - 50.0).abs() < 1e-6);
+        // Children cover [10, 60) and [80, 90) of the root's 100 ns.
+        assert!((t["root"].self_s * 1e9 - 40.0).abs() < 1e-6);
         let sum: f64 = t.values().map(|l| l.self_s).sum();
         // Overlapping children count once toward the parent's coverage
         // but keep their own self time each.
-        assert!((sum * 1e9 - 50.0 - 30.0 - 30.0 - 10.0).abs() < 1e-6);
+        assert!((sum * 1e9 - 40.0 - 30.0 - 30.0 - 10.0).abs() < 1e-6);
     }
 
     #[test]
