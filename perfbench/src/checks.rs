@@ -3,7 +3,7 @@
 //! of `BENCHMARK.json` (every named metric printed, finite, with its
 //! unit) in both trace modes.
 
-use crate::{layers, run_workload, WORKLOADS};
+use crate::{all_workloads, layers, run_workload, WORKLOADS};
 use dmsa_cli::json::{self, Json, Value};
 use dmsa_core::matcher::Matcher;
 use dmsa_core::{MatchMethod, NaiveMatcher, PreparedStore};
@@ -122,7 +122,7 @@ pub fn run_check_mode() -> Result<(), String> {
 
     naive_oracle()?;
     eprintln!("check: prepared matching equals the naive oracle");
-    for w in WORKLOADS {
+    for w in all_workloads() {
         for (trace, expected) in [(false, &e2e), (true, &per_layer)] {
             let (_, line) = run_workload(w, 1, CHECK_SECONDS, trace, true)?;
             check_line(&line, expected)

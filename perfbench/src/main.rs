@@ -38,7 +38,17 @@ const WORK_DIR: &str = ".perfbench_work";
 /// Where result and span files of each run are kept.
 const OUT_DIR: &str = ".perfbench_out";
 
-pub const WORKLOADS: [&str; 4] = ["pipeline_8day", "serve_hot", "serve_churn", "sweep_warm"];
+/// The workloads `BENCHMARK.json` names.
+pub const WORKLOADS: [&str; 3] = ["pipeline_8day", "serve_hot", "sweep_warm"];
+/// Workloads the command runs on request and `--check` covers, but that
+/// carry no bound: on a 2-vCPU host the tail latency of `serve_churn`
+/// swung between two levels from run to run (queries beside a reload
+/// ran 1.2 to 2 times slower), a spread above any bound it could carry.
+pub const UNGATED_WORKLOADS: [&str; 1] = ["serve_churn"];
+
+fn all_workloads() -> impl Iterator<Item = &'static str> {
+    WORKLOADS.into_iter().chain(UNGATED_WORKLOADS)
+}
 
 /// One measured value.
 #[derive(Clone, Debug)]
@@ -163,10 +173,10 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             .ok_or_else(|| format!("{flag} needs a value"))?;
         match flag {
             "--workload" => {
-                if !WORKLOADS.contains(&value.as_str()) {
+                if !all_workloads().any(|w| w == value) {
                     return Err(format!(
                         "unknown workload {value:?} ({})",
-                        WORKLOADS.join("|")
+                        all_workloads().collect::<Vec<_>>().join("|")
                     ));
                 }
                 a.workload = Some(value.clone());
@@ -203,7 +213,7 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: perfbench --workload {} --seed N --seconds S --trace 0|1\n       perfbench --check",
-                WORKLOADS.join("|")
+                all_workloads().collect::<Vec<_>>().join("|")
             );
             return ExitCode::from(2);
         }

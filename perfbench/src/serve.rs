@@ -4,13 +4,12 @@
 //! Analysts and dashboards are independent users, so requests arrive on
 //! a seeded Poisson schedule whether or not earlier ones were answered,
 //! and each request is timed from when it was due. The generator runs in
-//! this process: one thread writes every request on its connection when
-//! due and reads replies in between, over at most `nproc` connections
-//! (churn's reloads take one of them, and a thread of their own).
+//! this process: one thread sends every request when due over a pool of
+//! `nproc` connections and reads replies in between.
 //!
-//! * `serve_hot` repeats a small key set — every method with and
-//!   without `full` sets, every report with and without `method`, and
-//!   `health` — so a reply cache would serve it.
+//! * `serve_hot` repeats a small key set in a weighted mix — every
+//!   method with and without `full` sets, every report with and without
+//!   `method`, and `health` — so a reply cache would serve it.
 //! * `serve_churn` sends `match` with a distinct `scored:T` threshold on
 //!   every request (nothing to cache) while a `reload` alternates the
 //!   server between the exports of `seed` and `seed+1` every few seconds.
@@ -47,16 +46,22 @@ pub enum Mode {
 const SCALE: f64 = 0.02;
 const SMALL_SCALE: f64 = 0.002;
 const SETUPS: usize = 3;
-/// Offered rate of the fixed-rate leg, requests per second.
-const HOT_RATE: f64 = 20.0;
-const CHURN_RATE: f64 = 15.0;
 /// Tail-latency limit of a ladder step.
 const LIMIT_MS: f64 = 250.0;
-/// Share of an untraced run spent on the fixed-rate leg; the
-/// saturation leg and the ladder get the rest.
+
+/// Offered rate of the fixed-rate leg, requests per second: about 120
+/// samples per 30-second run, so the tail (the highest percentile with
+/// ten samples beyond it) is about p92 and rests on ten samples of the
+/// slow requests' body rather than on a run's few worst collisions.
+const RATE: f64 = 8.0;
+/// Shares of an untraced run spent on the fixed-rate leg and on the
+/// closed-loop saturation leg; the ladder gets the rest.
 const FIXED_SHARE: f64 = 0.5;
-/// Length of the closed-loop saturation leg.
-const SAT_S: f64 = 5.0;
+const SAT_SHARE: f64 = 0.35;
+/// Requests each connection keeps in flight in the saturation leg: with
+/// the next request already queued, a server thread never waits for the
+/// generator to be scheduled, so the leg measures the server.
+const SAT_WINDOW: usize = 2;
 /// Requests planned per second of the saturation leg (an upper bound
 /// on what it can send).
 const SAT_PLAN_RATE: f64 = 1000.0;
@@ -65,17 +70,16 @@ const STEP_S: f64 = 1.5;
 /// Rate factor between ladder steps before the first failure.
 const STEP_FACTOR: f64 = 1.15;
 /// First ladder rate, as a share of the saturation throughput.
-const LADDER_START: f64 = 0.7;
+const LADDER_START: f64 = 0.5;
 /// Longest wait for outstanding replies after the last send.
 const DRAIN_S: f64 = 15.0;
-/// Naps of a generator thread while replies are outstanding: a tenth of
-/// the oldest request's age within these bounds, so a reply is noticed
-/// at most 10 % (or 0.5 ms) late without waking often enough to steal
-/// the server's cores.
-const POLL_MIN: Duration = Duration::from_micros(500);
-const POLL_MAX: Duration = Duration::from_millis(2);
-/// Pause between a `reload` reply and the next `reload` (churn).
-const RELOAD_GAP_S: f64 = 2.0;
+/// Nap of the generator while a full socket buffer drains.
+const SEND_NAP: Duration = Duration::from_micros(500);
+/// Period of the `reload` schedule (churn): reloads fall due at a fixed
+/// phase of every period, so each leg holds the same number of them
+/// however long one takes. A reload (load + build) takes about a second
+/// here, so about one query in four runs beside one.
+const RELOAD_PERIOD_S: f64 = 3.0;
 /// Scored thresholds are drawn from this range (churn).
 const THRESHOLDS: (f64, f64) = (0.55, 0.95);
 
@@ -309,6 +313,30 @@ fn hot_keys(c: &Content) -> Vec<Key> {
     keys
 }
 
+/// Reports that take several times a match to render.
+const SLOW_REPORTS: [&str; 2] = ["redundancy", "exclusion"];
+
+/// How often each `serve_hot` key comes up in one block of the mix.
+/// Dashboards poll health and match counts most: `match` with the
+/// exact, RM1 and RM2 methods (30 of 70) sits in the middle, with as
+/// many requests below it (`health`, 20) as above it, so the median is
+/// the median `match`. The slow reports (12 of 70) form the tail: about
+/// p92 lies in their middle. `scored` and the other reports come up
+/// once per block.
+fn hot_weight(key: &Key) -> usize {
+    let slow = || {
+        SLOW_REPORTS
+            .iter()
+            .any(|r| key.line.contains(&format!("\"report\":\"{r}\"")))
+    };
+    match key.kind {
+        "match" | "match_full" => 5,
+        "health" => 20,
+        "analyze" if slow() => 3,
+        _ => 1,
+    }
+}
+
 /// A `scored:T` key with a threshold no other request uses.
 fn churn_key(rng: &mut Rng, contents: &[Content]) -> Key {
     let t = THRESHOLDS.0 + (THRESHOLDS.1 - THRESHOLDS.0) * rng.unit();
@@ -349,7 +377,7 @@ struct Outcome {
 
 struct Reload {
     sent: Instant,
-    recv: Instant,
+    recv: Option<Instant>,
     target: usize,
     ok: bool,
 }
@@ -372,7 +400,7 @@ fn send_all(stream: &mut TcpStream, bytes: &[u8]) -> std::io::Result<()> {
         match stream.write(&bytes[off..]) {
             Ok(0) => return Err(ErrorKind::WriteZero.into()),
             Ok(n) => off += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL_MIN),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(SEND_NAP),
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
@@ -380,23 +408,68 @@ fn send_all(stream: &mut TcpStream, bytes: &[u8]) -> std::io::Result<()> {
     Ok(())
 }
 
-/// One query connection's progress through its share of a leg.
-struct ConnRun<'a> {
-    stream: &'a mut TcpStream,
+/// A reply a connection owes: to a query (index into the plan) or to a
+/// `reload` (index into the leg's reloads).
+#[derive(Clone, Copy)]
+enum Slot {
+    Query(usize),
+    Reload(usize),
+}
+
+/// The connections of a leg, driven as one client pool from one thread:
+/// a request that falls due goes out on an idle connection if there is
+/// one (else on the one with the fewest replies outstanding), as a
+/// client's connection pool would send it. Under churn the same pool
+/// carries the `reload` requests, so a reload holds one connection and
+/// queries use the rest.
+struct Pool<'a> {
+    streams: &'a mut [TcpStream],
+    /// Unparsed reply bytes and replies owed, per connection.
+    bufs: Vec<Vec<u8>>,
+    outstanding: Vec<VecDeque<Slot>>,
+    /// Queries sent and not yet answered, over the whole pool.
+    in_flight: usize,
     plan: &'a [Planned],
     outcomes: Vec<Outcome>,
     lag_ms: Vec<f64>,
+    /// Queries in flight at each send.
     backlog_at_send: Vec<usize>,
-    outstanding: VecDeque<usize>,
-    buf: Vec<u8>,
     next: usize,
+    /// `reload` line per content, due times of the leg's reloads, the
+    /// reloads sent, and the content the next one targets.
+    reload_lines: &'a [String],
+    reload_due: Vec<Instant>,
+    reloads: Vec<Reload>,
+    next_target: usize,
     err: Option<String>,
 }
 
-impl<'a> ConnRun<'a> {
-    fn new(stream: &'a mut TcpStream, plan: &'a [Planned], start: Instant) -> Self {
-        ConnRun {
-            stream,
+impl<'a> Pool<'a> {
+    fn new(
+        streams: &'a mut [TcpStream],
+        plan: &'a [Planned],
+        reload: Option<(&'a [String], usize)>,
+        start: Instant,
+        end: Instant,
+    ) -> Self {
+        let n = streams.len();
+        let (reload_lines, content) = reload.unwrap_or((&[], 0));
+        // Reloads fall due once per period, the first half a period in
+        // (or half-way through a shorter leg), until the end.
+        let period = Duration::from_secs_f64(RELOAD_PERIOD_S);
+        let first = start + period.min(end - start) / 2;
+        let reload_due = if reload_lines.is_empty() {
+            Vec::new()
+        } else {
+            std::iter::successors(Some(first), |&t| Some(t + period))
+                .take_while(|&t| t < end)
+                .collect()
+        };
+        Pool {
+            streams,
+            bufs: vec![Vec::with_capacity(1 << 16); n],
+            outstanding: vec![VecDeque::new(); n],
+            in_flight: 0,
             plan,
             outcomes: plan
                 .iter()
@@ -410,9 +483,11 @@ impl<'a> ConnRun<'a> {
                 .collect(),
             lag_ms: Vec::with_capacity(plan.len()),
             backlog_at_send: Vec::with_capacity(plan.len()),
-            outstanding: VecDeque::new(),
-            buf: Vec::with_capacity(1 << 16),
             next: 0,
+            reload_lines,
+            reload_due,
+            reloads: Vec::new(),
+            next_target: 1 - content,
             err: None,
         }
     }
@@ -421,204 +496,260 @@ impl<'a> ConnRun<'a> {
         self.err.is_some() || self.next == self.plan.len() || closed_until.is_some_and(|u| now >= u)
     }
 
-    fn finished(&self, now: Instant, closed_until: Option<Instant>) -> bool {
-        self.err.is_some() || (self.done_sending(now, closed_until) && self.outstanding.is_empty())
+    fn reload_in_flight(&self) -> bool {
+        self.reloads.last().is_some_and(|r| r.recv.is_none())
     }
 
-    /// Send every request that is due. Closed loop: the next request
-    /// goes out once the previous reply is in, and is timed from then.
+    fn finished(&self, now: Instant, closed_until: Option<Instant>) -> bool {
+        self.err.is_some()
+            || (self.done_sending(now, closed_until)
+                && self.reloads.len() == self.reload_due.len()
+                && self.outstanding.iter().all(VecDeque::is_empty))
+    }
+
+    /// The connection with the fewest replies outstanding, avoiding one
+    /// that owes a reload reply: a query queued behind a reload would
+    /// wait the whole reload out.
+    fn least_busy(&self) -> usize {
+        (0..self.streams.len())
+            .min_by_key(|&c| {
+                let q = &self.outstanding[c];
+                (q.iter().any(|s| matches!(s, Slot::Reload(_))), q.len())
+            })
+            .expect("a pool has a connection")
+    }
+
+    fn send_line(&mut self, conn: usize, line: &str) -> bool {
+        let mut framed = Vec::with_capacity(line.len() + 1);
+        framed.extend_from_slice(line.as_bytes());
+        framed.push(b'\n');
+        match send_all(&mut self.streams[conn], &framed) {
+            Ok(()) => true,
+            Err(e) => {
+                self.err = Some(format!("send: {e}"));
+                false
+            }
+        }
+    }
+
+    /// Send every request that is due: the next reload once the last
+    /// one is answered, then the queries. Closed loop: a query goes out
+    /// whenever a connection has fewer than [`SAT_WINDOW`] in flight, and
+    /// is timed from then.
     fn send_due(&mut self, keys: &[Key], now: Instant, closed_until: Option<Instant>) {
+        let k = self.reloads.len();
+        if self.err.is_none()
+            && k < self.reload_due.len()
+            && self.reload_due[k] <= now
+            && !self.reload_in_flight()
+        {
+            let conn = self.least_busy();
+            let target = self.next_target;
+            let sent = Instant::now();
+            if !self.send_line(conn, &self.reload_lines[target].clone()) {
+                return;
+            }
+            self.reloads.push(Reload {
+                sent,
+                recv: None,
+                target,
+                ok: false,
+            });
+            self.outstanding[conn].push_back(Slot::Reload(k));
+            self.next_target = 1 - target;
+        }
         while !self.done_sending(now, closed_until) {
             let i = self.next;
+            let conn = self.least_busy();
             match closed_until {
                 None if self.outcomes[i].due > now => return,
                 None => {}
-                Some(_) if !self.outstanding.is_empty() => return,
+                Some(_) if self.outstanding[conn].len() >= SAT_WINDOW => return,
                 Some(_) => self.outcomes[i].due = now,
             }
-            let line = &keys[self.plan[i].key].line;
-            let mut framed = Vec::with_capacity(line.len() + 1);
-            framed.extend_from_slice(line.as_bytes());
-            framed.push(b'\n');
-            if let Err(e) = send_all(self.stream, &framed) {
-                self.err = Some(format!("send: {e}"));
+            // Stamped before the write: a reload whose reply arrived
+            // before this instant precedes the request for certain.
+            let sent = Instant::now();
+            if !self.send_line(conn, &keys[self.plan[i].key].line) {
                 return;
             }
-            let sent = Instant::now();
             self.outcomes[i].sent = Some(sent);
             self.lag_ms
                 .push(1e3 * sent.duration_since(self.outcomes[i].due).as_secs_f64());
-            self.outstanding.push_back(i);
-            self.backlog_at_send.push(self.outstanding.len());
+            self.outstanding[conn].push_back(Slot::Query(i));
+            self.in_flight += 1;
+            self.backlog_at_send.push(self.in_flight);
             self.next += 1;
         }
     }
 
     /// Read and judge every reply that has arrived.
     fn read_ready(&mut self, keys: &[Key], chunk: &mut [u8]) {
-        while self.err.is_none() {
-            match self.stream.read(chunk) {
-                Ok(0) => self.err = Some("server closed the connection".into()),
-                Ok(n) => {
-                    let scan_from = self.buf.len();
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    let recv = Instant::now();
-                    let mut line_start = 0;
-                    let mut i = scan_from;
-                    while let Some(off) = self.buf[i..].iter().position(|&b| b == b'\n') {
-                        let end = i + off;
-                        match self.outstanding.pop_front() {
-                            Some(idx) => {
-                                let o = &mut self.outcomes[idx];
-                                o.recv = Some(recv);
-                                o.matched = keys[o.key].judge(&self.buf[line_start..end]);
+        for conn in 0..self.streams.len() {
+            while self.err.is_none() {
+                match self.streams[conn].read(chunk) {
+                    Ok(0) => self.err = Some("server closed the connection".into()),
+                    Ok(n) => {
+                        let buf = &mut self.bufs[conn];
+                        let scan_from = buf.len();
+                        buf.extend_from_slice(&chunk[..n]);
+                        let recv = Instant::now();
+                        let mut line_start = 0;
+                        let mut i = scan_from;
+                        while let Some(off) = buf[i..].iter().position(|&b| b == b'\n') {
+                            let end = i + off;
+                            let reply = &buf[line_start..end];
+                            match self.outstanding[conn].pop_front() {
+                                Some(Slot::Query(idx)) => {
+                                    let o = &mut self.outcomes[idx];
+                                    o.recv = Some(recv);
+                                    o.matched = keys[o.key].judge(reply);
+                                    self.in_flight -= 1;
+                                }
+                                Some(Slot::Reload(r)) => {
+                                    let r = &mut self.reloads[r];
+                                    r.recv = Some(recv);
+                                    r.ok = reply.starts_with(
+                                        b"{\"ok\":true,\"cmd\":\"reload\",\"generation\":",
+                                    );
+                                }
+                                None => self.err = Some("reply with no request outstanding".into()),
                             }
-                            None => self.err = Some("reply with no request outstanding".into()),
+                            line_start = end + 1;
+                            i = line_start;
                         }
-                        line_start = end + 1;
-                        i = line_start;
+                        buf.drain(..line_start);
                     }
-                    self.buf.drain(..line_start);
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) => self.err = Some(format!("recv: {e}")),
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => self.err = Some(format!("recv: {e}")),
             }
         }
     }
 
-    /// How long this connection can wait before it needs attention.
+    /// How long the generator may wait for a reply before it has to
+    /// send: until the next query or reload is due (a reload waits for
+    /// the last one's reply instead), not at all with a connection below
+    /// its window in a closed loop, at most until the deadline.
     fn nap(&self, now: Instant, closed_until: Option<Instant>, deadline: Instant) -> Duration {
         let sending = !self.done_sending(now, closed_until);
-        let until_due = match closed_until {
-            None if sending => self.outcomes[self.next].due.saturating_duration_since(now),
-            _ => deadline.saturating_duration_since(now),
-        };
-        match self.outstanding.front() {
-            // Closed loop with nothing in flight: send the next now.
-            None if sending && closed_until.is_some() => Duration::ZERO,
-            None => until_due,
-            Some(&oldest) => {
-                let age = self.outcomes[oldest]
-                    .sent
-                    .map_or(Duration::ZERO, |t| now.duration_since(t));
-                until_due.min((age / 10).clamp(POLL_MIN, POLL_MAX))
+        let idle = self.outstanding[self.least_busy()].len() < SAT_WINDOW;
+        let mut until = deadline;
+        match closed_until {
+            Some(_) if sending && idle => return Duration::ZERO,
+            None if sending => until = until.min(self.outcomes[self.next].due),
+            _ => {}
+        }
+        if let Some(&due) = self.reload_due.get(self.reloads.len()) {
+            if !self.reload_in_flight() {
+                until = until.min(due);
             }
         }
+        until.saturating_duration_since(now)
     }
 }
 
-/// What one connection did in a leg.
-struct ConnResult {
+/// Wait until a connection has bytes to read or `timeout` has passed.
+/// `ppoll(2)` keeps the timeout to the nanosecond and wakes on the reply
+/// itself, so the generator neither sends late nor wakes to poll while
+/// the server works (socket read timeouts are rounded to the kernel
+/// tick, up to 10 ms).
+#[cfg(target_os = "linux")]
+fn wait_readable(streams: &[TcpStream], timeout: Duration) {
+    use std::os::fd::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn ppoll(fds: *mut PollFd, nfds: u64, timeout: *const Timespec, sigmask: *const u8) -> i32;
+    }
+    const POLLIN: i16 = 1;
+    let mut fds: Vec<PollFd> = streams
+        .iter()
+        .map(|s| PollFd {
+            fd: s.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        })
+        .collect();
+    let ts = Timespec {
+        tv_sec: timeout.as_secs().min(i64::MAX as u64) as i64,
+        tv_nsec: i64::from(timeout.subsec_nanos()),
+    };
+    // SAFETY: `fds` holds `fds.len()` initialised pollfd records and `ts`
+    // a valid timespec, both alive for the call; a null mask leaves the
+    // signal mask alone. The result only decides when to read, and every
+    // read that follows is non-blocking, so errors and EINTR need no
+    // handling here.
+    unsafe {
+        ppoll(fds.as_mut_ptr(), fds.len() as u64, &ts, std::ptr::null());
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn wait_readable(_streams: &[TcpStream], timeout: Duration) {
+    std::thread::sleep(timeout.min(SEND_NAP));
+}
+
+/// What the pool did in a leg.
+struct PoolResult {
     outcomes: Vec<Outcome>,
+    reloads: Vec<Reload>,
     lag_ms: Vec<f64>,
     backlog_at_send: Vec<usize>,
     err: Option<String>,
 }
 
-/// Drive every query connection through its share of the plan from one
-/// thread, so the generator takes as little of the server's CPU as it
-/// can.
-fn drive_conns(
+/// Drive the pool through the plan (and the reloads) on this thread,
+/// the generator's only one, so it takes as little of the server's CPU
+/// as it can.
+fn drive_pool(
     streams: &mut [TcpStream],
     keys: &[Key],
-    shares: &[Vec<Planned>],
-    start: Instant,
-    closed_until: Option<Instant>,
-) -> Vec<ConnResult> {
-    let last_due = closed_until.unwrap_or_else(|| {
-        shares
-            .iter()
-            .filter_map(|p| p.last())
-            .map(|p| start + p.due)
-            .max()
-            .unwrap_or(start)
-    });
-    let deadline = last_due + Duration::from_secs_f64(DRAIN_S);
-    let mut runs: Vec<ConnRun> = streams
-        .iter_mut()
-        .zip(shares)
-        .map(|(stream, plan)| ConnRun::new(stream, plan, start))
-        .collect();
-    let mut chunk = vec![0u8; 1 << 16];
-    loop {
-        for r in runs.iter_mut() {
-            r.send_due(keys, Instant::now(), closed_until);
-            r.read_ready(keys, &mut chunk);
-        }
-        let now = Instant::now();
-        if now >= deadline || runs.iter().all(|r| r.finished(now, closed_until)) {
-            break;
-        }
-        let nap = runs
-            .iter()
-            .filter(|r| !r.finished(now, closed_until))
-            .map(|r| r.nap(now, closed_until, deadline))
-            .min()
-            .unwrap_or(Duration::ZERO);
-        if !nap.is_zero() {
-            std::thread::sleep(nap);
-        }
-    }
-    runs.into_iter()
-        .map(|mut r| {
-            if closed_until.is_some() {
-                r.outcomes.truncate(r.next);
-            }
-            ConnResult {
-                outcomes: r.outcomes,
-                lag_ms: r.lag_ms,
-                backlog_at_send: r.backlog_at_send,
-                err: r.err,
-            }
-        })
-        .collect()
-}
-
-/// Reload every [`RELOAD_GAP_S`] until `end`, alternating contents.
-fn drive_reloads(
-    stream: &mut TcpStream,
-    paths: &[PathBuf],
-    mut content: usize,
+    plan: &[Planned],
+    reload: Option<(&[String], usize)>,
     start: Instant,
     end: Instant,
-) -> (Vec<Reload>, Option<String>) {
-    let mut out = Vec::new();
-    let mut at = start + Duration::from_secs_f64(RELOAD_GAP_S / 2.0);
-    while at < end {
-        std::thread::sleep(at.saturating_duration_since(Instant::now()));
-        let target = 1 - content;
-        let mut line = String::from("{\"cmd\":\"reload\",\"path\":");
-        push_str_lit(&mut line, &paths[target].display().to_string());
-        line.push_str("}\n");
-        let sent = Instant::now();
-        if let Err(e) = stream.write_all(line.as_bytes()) {
-            return (out, Some(format!("reload send: {e}")));
+    closed: bool,
+) -> PoolResult {
+    let closed_until = closed.then_some(end);
+    let last_due = plan.last().map_or(start, |p| start + p.due).max(end);
+    let deadline = last_due + Duration::from_secs_f64(DRAIN_S);
+    let mut pool = Pool::new(streams, plan, reload, start, end);
+    let mut chunk = vec![0u8; 1 << 16];
+    loop {
+        pool.send_due(keys, Instant::now(), closed_until);
+        pool.read_ready(keys, &mut chunk);
+        // A reply may have freed a connection a due request waits for.
+        pool.send_due(keys, Instant::now(), closed_until);
+        let now = Instant::now();
+        if now >= deadline || pool.finished(now, closed_until) {
+            break;
         }
-        let mut reply = Vec::new();
-        let mut byte = [0u8; 1];
-        loop {
-            match stream.read(&mut byte) {
-                Ok(1) if byte[0] == b'\n' => break,
-                Ok(1) => reply.push(byte[0]),
-                Ok(_) => return (out, Some("reload: server closed the connection".into())),
-                Err(e) => return (out, Some(format!("reload recv: {e}"))),
-            }
+        let nap = pool.nap(now, closed_until, deadline);
+        if !nap.is_zero() {
+            wait_readable(pool.streams, nap);
         }
-        let recv = Instant::now();
-        let ok = reply.starts_with(b"{\"ok\":true,\"cmd\":\"reload\",\"generation\":");
-        out.push(Reload {
-            sent,
-            recv,
-            target,
-            ok,
-        });
-        if ok {
-            content = target;
-        }
-        at = recv + Duration::from_secs_f64(RELOAD_GAP_S);
     }
-    (out, None)
+    if closed {
+        pool.outcomes.truncate(pool.next);
+    }
+    PoolResult {
+        outcomes: pool.outcomes,
+        reloads: pool.reloads,
+        lag_ms: pool.lag_ms,
+        backlog_at_send: pool.backlog_at_send,
+        err: pool.err,
+    }
 }
 
 /// Poisson schedule of `rate`/s over `secs`, keys chosen by `pick`.
@@ -647,108 +778,63 @@ fn plan(
 /// serves every leg on the same connection threads.
 struct Conns {
     addr: SocketAddr,
-    queries: Vec<TcpStream>,
-    /// Carries `reload` requests (churn).
-    reload: Option<TcpStream>,
+    streams: Vec<TcpStream>,
 }
 
 impl Conns {
-    fn open(addr: SocketAddr, queries: usize, reload: bool) -> Result<Conns, String> {
-        let connect = |nonblocking: bool| -> Result<TcpStream, String> {
+    fn open(addr: SocketAddr, n: usize) -> Result<Conns, String> {
+        let connect = || -> Result<TcpStream, String> {
             let s = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
             let _ = s.set_nodelay(true);
-            // Query connections poll: socket read timeouts are rounded
-            // to the kernel tick (up to 10 ms), which would send late.
-            if nonblocking {
-                s.set_nonblocking(true)
-            } else {
-                s.set_read_timeout(Some(Duration::from_secs_f64(DRAIN_S)))
-            }
-            .map_err(|e| format!("configuring a connection: {e}"))?;
+            // Non-blocking, and waited on by `wait_readable`.
+            s.set_nonblocking(true)
+                .map_err(|e| format!("configuring a connection: {e}"))?;
             Ok(s)
         };
         Ok(Conns {
             addr,
-            queries: (0..queries)
-                .map(|_| connect(true))
-                .collect::<Result<_, _>>()?,
-            reload: if reload { Some(connect(false)?) } else { None },
+            streams: (0..n).map(|_| connect()).collect::<Result<_, _>>()?,
         })
     }
 }
 
-/// Run one leg: the plan dealt round-robin over the query connections,
-/// plus the reload connection under churn. A leg that left a reply
-/// unread reopens the connections, so the next leg starts in step.
+/// Run one leg: the plan, plus the reloads under churn, sent over the
+/// pool. A leg that left a reply unread reopens the connections, so the
+/// next leg starts in step.
 fn run_leg(
     conns: &mut Conns,
     keys: &[Key],
     plan: Vec<Planned>,
-    reload: Option<(&[PathBuf], usize)>,
+    reload: Option<(&[String], usize)>,
     secs: f64,
     closed: bool,
 ) -> Leg {
-    let mut shares: Vec<Vec<Planned>> = conns.queries.iter().map(|_| Vec::new()).collect();
-    let n = shares.len();
-    for (i, p) in plan.into_iter().enumerate() {
-        shares[i % n].push(p);
-    }
     // Schedule from a common start a little ahead.
     let start = Instant::now() + Duration::from_millis(20);
     let end = start + Duration::from_secs_f64(secs);
-    let closed_until = closed.then_some(end);
-    let (conn_results, reload_result) = std::thread::scope(|s| {
-        let queries = &mut conns.queries;
-        let shares = &shares;
-        let generator = s.spawn(move || drive_conns(queries, keys, shares, start, closed_until));
-        let reload_handle = match (reload, conns.reload.as_mut()) {
-            (Some((paths, content)), Some(stream)) => {
-                Some(s.spawn(move || drive_reloads(stream, paths, content, start, end)))
-            }
-            _ => None,
-        };
-        let results = generator.join().expect("load-generator thread panicked");
-        let reloads = reload_handle.map(|h| h.join().expect("reload thread panicked"));
-        (results, reloads)
-    });
-    let mut leg = Leg {
-        outcomes: Vec::new(),
-        reloads: Vec::new(),
-        lag_ms: Vec::new(),
-        backlog_max: 0,
-        backlog_first: 0.0,
-        backlog_last: 0.0,
-        io_errors: Vec::new(),
-    };
-    let mut firsts = Vec::new();
-    let mut lasts = Vec::new();
-    for r in conn_results {
-        let backlog = &r.backlog_at_send;
-        leg.backlog_max = leg
-            .backlog_max
-            .max(backlog.iter().copied().max().unwrap_or(0));
-        let third = backlog.len() / 3;
-        firsts.extend(backlog[..third].iter().map(|&b| b as f64));
-        lasts.extend(backlog[backlog.len() - third..].iter().map(|&b| b as f64));
-        leg.outcomes.extend(r.outcomes);
-        leg.lag_ms.extend(r.lag_ms);
-        leg.io_errors.extend(r.err);
-    }
-    let mean = |v: &[f64]| {
+    let pooled = drive_pool(&mut conns.streams, keys, &plan, reload, start, end, closed);
+    let backlog = &pooled.backlog_at_send;
+    let third = backlog.len() / 3;
+    let mean = |v: &[usize]| {
         if v.is_empty() {
             0.0
         } else {
-            v.iter().sum::<f64>() / v.len() as f64
+            v.iter().sum::<usize>() as f64 / v.len() as f64
         }
     };
-    leg.backlog_first = mean(&firsts);
-    leg.backlog_last = mean(&lasts);
-    if let Some((reloads, err)) = reload_result {
-        leg.reloads = reloads;
-        leg.io_errors.extend(err);
-    }
-    if !leg.io_errors.is_empty() || leg.outcomes.iter().any(|o| o.recv.is_none()) {
-        match Conns::open(conns.addr, conns.queries.len(), conns.reload.is_some()) {
+    let mut leg = Leg {
+        backlog_max: backlog.iter().copied().max().unwrap_or(0),
+        backlog_first: mean(&backlog[..third]),
+        backlog_last: mean(&backlog[backlog.len() - third..]),
+        outcomes: pooled.outcomes,
+        reloads: pooled.reloads,
+        lag_ms: pooled.lag_ms,
+        io_errors: pooled.err.into_iter().collect(),
+    };
+    let unanswered = leg.outcomes.iter().any(|o| o.recv.is_none())
+        || leg.reloads.iter().any(|r| r.recv.is_none());
+    if !leg.io_errors.is_empty() || unanswered {
+        match Conns::open(conns.addr, conns.streams.len()) {
             Ok(fresh) => *conns = fresh,
             Err(e) => leg.io_errors.push(e),
         }
@@ -766,7 +852,7 @@ impl Leg {
         let mut confirmed = initial;
         let mut mask = 0u8;
         for r in &self.reloads {
-            if r.recv <= sent {
+            if r.recv.is_some_and(|t| t <= sent) {
                 if r.ok {
                     confirmed = r.target;
                 }
@@ -863,7 +949,7 @@ fn setup_once(ctx: &Ctx, mode: Mode, rep: usize, counts: &mut Counts) -> Result<
             key: k,
         })
         .collect();
-    let mut conns = Conns::open(server.local_addr(), 1, false)?;
+    let mut conns = Conns::open(server.local_addr(), 1)?;
     let leg = run_leg(&mut conns, &keys, warm, None, 0.0, false);
     if let Some(e) = leg.io_errors.first() {
         return Err(format!("warm-up: {e}"));
@@ -908,19 +994,23 @@ pub fn run(ctx: &Ctx, mode: Mode) -> Result<Report, String> {
     report.e2e("setup_s", median(&setup_s), "s");
     let addr = server.local_addr();
 
-    let (query_conns, rate) = match mode {
-        Mode::Hot => (ctx.nproc, HOT_RATE),
-        // One connection of the nproc budget carries the reloads.
-        Mode::Churn => ((ctx.nproc - 1).max(1), CHURN_RATE),
-    };
-    let paths: Vec<PathBuf> = contents.iter().map(|c| c.path.clone()).collect();
+    let rate = RATE;
+    let reload_lines: Vec<String> = contents
+        .iter()
+        .map(|c| {
+            let mut line = String::from("{\"cmd\":\"reload\",\"path\":");
+            push_str_lit(&mut line, &c.path.display().to_string());
+            line.push('}');
+            line
+        })
+        .collect();
     let mut content = 0usize;
     let mut rng = Rng(ctx.seed);
     report.env("loop", "open loop, Poisson arrivals, timed from due time");
     report.env("scale", if ctx.small { SMALL_SCALE } else { SCALE });
-    report.env("query_connections", query_conns);
-    report.env("reload_connections", usize::from(mode == Mode::Churn));
-    report.env("generator_threads", 1 + usize::from(mode == Mode::Churn));
+    // One pool of nproc connections carries queries and (churn) reloads.
+    report.env("connections", ctx.nproc);
+    report.env("generator_threads", 1);
     report.env("offered_rate_per_s", rate);
     report.env("limit_ms", LIMIT_MS);
     report.env("export_bytes", contents[0].json.len());
@@ -931,14 +1021,16 @@ pub fn run(ctx: &Ctx, mode: Mode) -> Result<Report, String> {
     let make_leg = |rng: &mut Rng, rate: f64, secs: f64| -> (Vec<Key>, Vec<Planned>) {
         match mode {
             Mode::Hot => {
-                // Every key once per block of keys, in shuffled order:
-                // the offered work does not drift with the draw.
-                let n = hot.len();
+                // Every key its weight's times per block, in shuffled
+                // order: the offered mix does not drift with the draw.
+                let deck: Vec<usize> = (0..hot.len())
+                    .flat_map(|k| std::iter::repeat(k).take(hot_weight(&hot[k])))
+                    .collect();
                 let mut block: Vec<usize> = Vec::new();
                 let p = plan(rng, rate, secs, |r| {
                     if block.is_empty() {
-                        block = (0..n).collect();
-                        for i in (1..n).rev() {
+                        block = deck.clone();
+                        for i in (1..block.len()).rev() {
                             block.swap(i, (r.next_u64() % (i as u64 + 1)) as usize);
                         }
                     }
@@ -957,11 +1049,11 @@ pub fn run(ctx: &Ctx, mode: Mode) -> Result<Report, String> {
         }
     };
 
-    let mut conns = Conns::open(addr, query_conns, mode == Mode::Churn)?;
+    let mut conns = Conns::open(addr, ctx.nproc)?;
     let mut run_one = |rng: &mut Rng, rate: f64, secs: f64, content: &mut usize, closed: bool| {
         let (fresh, p) = make_leg(rng, rate, secs);
         let keys: &[Key] = if mode == Mode::Hot { &hot } else { &fresh };
-        let reload = (mode == Mode::Churn).then_some((paths.as_slice(), *content));
+        let reload = (mode == Mode::Churn).then_some((reload_lines.as_slice(), *content));
         let initial = *content;
         let leg = run_leg(&mut conns, keys, p, reload, secs, closed);
         *content = leg.content_after(initial);
@@ -1001,9 +1093,10 @@ pub fn run(ctx: &Ctx, mode: Mode) -> Result<Report, String> {
             }
         }
         for r in &tleg.reloads {
-            let req = ctx.tracer.next_id();
-            ctx.tracer
-                .record("serve.reload", req, 0, req, r.sent, r.recv);
+            if let Some(recv) = r.recv {
+                let req = ctx.tracer.next_id();
+                ctx.tracer.record("serve.reload", req, 0, req, r.sent, recv);
+            }
         }
         ctx.tracer.set_enabled(false);
         record_leg(&mut report, &tleg, tinit, tkeys, "traced");
@@ -1011,9 +1104,11 @@ pub fn run(ctx: &Ctx, mode: Mode) -> Result<Report, String> {
         layers::emit(ctx, &counts, &mut report);
         layers::trace_summary(ctx, &REQ_SPANS, p50, traced_p50, &mut report);
     } else {
-        // Saturation: every query connection keeps one request in
-        // flight; replies per second is the throughput.
-        let (sat, sinit, sfresh) = run_one(&mut rng, SAT_PLAN_RATE, SAT_S, &mut content, true);
+        // Saturation: every connection not owing a reload reply keeps
+        // SAT_WINDOW queries in flight; replies per second is the
+        // throughput.
+        let sat_secs = SAT_SHARE * untraced_budget;
+        let (sat, sinit, sfresh) = run_one(&mut rng, SAT_PLAN_RATE, sat_secs, &mut content, true);
         let skeys: &[Key] = if mode == Mode::Hot { &hot } else { &sfresh };
         record_leg(&mut report, &sat, sinit, skeys, "saturation");
         let first = sat.outcomes.iter().map(|o| o.due).min();
@@ -1030,7 +1125,7 @@ pub fn run(ctx: &Ctx, mode: Mode) -> Result<Report, String> {
         // Ladder: from below saturation, raise the open-loop rate until
         // a step misses the limit, then bisect; max_qps is the highest
         // rate that passed.
-        let ladder_budget = untraced_budget - fixed_secs - SAT_S;
+        let ladder_budget = untraced_budget - fixed_secs - sat_secs;
         let t0 = Instant::now();
         let mut lo: Option<f64> = None;
         let mut hi: Option<f64> = None;
@@ -1149,7 +1244,7 @@ fn per_kind(report: &mut Report, leg: &Leg, initial: usize, keys: &[Key]) {
         let lat: Vec<f64> = leg
             .reloads
             .iter()
-            .map(|r| 1e3 * r.recv.duration_since(r.sent).as_secs_f64())
+            .filter_map(|r| r.recv.map(|t| 1e3 * t.duration_since(r.sent).as_secs_f64()))
             .collect();
         report.detail("serve.reload_p50_ms", median(&lat), "ms");
         report.detail("serve.reload_tail_ms", tail(&lat).1, "ms");
