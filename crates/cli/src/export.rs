@@ -1244,6 +1244,18 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_is_a_parse_error_not_an_abort() {
+        let hostile = format!("{{\"version\":1,\"jobs\":{}", "[".repeat(500 * 1024));
+        match CampaignExport::from_json_lenient(&hostile) {
+            Err(err) => {
+                assert!(err.starts_with("campaign parse error"), "{err}");
+                assert!(err.contains("nesting deeper than"), "{err}");
+            }
+            Ok(_) => panic!("hostile nesting accepted"),
+        }
+    }
+
+    #[test]
     fn matching_on_reimported_store_is_identical() {
         use dmsa_core::matcher::Matcher;
         use dmsa_core::{IndexedMatcher, MatchMethod};

@@ -10,8 +10,19 @@
 //! numbers are held as `f64` (every integer the campaign format emits is
 //! below 2^53, so the round-trip is exact), and object keys keep their
 //! first-seen order (duplicates are rejected).
+//!
+//! Nesting is capped at [`MAX_DEPTH`] arrays/objects: the reader
+//! recurses once per level, and the same code parses untrusted request
+//! lines and exports, so hostile nesting must be a [`ParseError`], not a
+//! stack overflow.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`parse`] accepts. Far above anything
+/// the campaign format, matchsets, sweep summaries or serve requests
+/// use (a handful of levels), and far below what a thread's stack
+/// survives.
+pub const MAX_DEPTH: usize = 256;
 
 /// A parsed JSON value plus the source position it started at.
 #[derive(Clone, Debug, PartialEq)]
@@ -143,6 +154,7 @@ pub fn parse(src: &str) -> Result<Json, ParseError> {
         pos: 0,
         line: 1,
         col: 1,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -158,6 +170,8 @@ struct Parser<'a> {
     pos: usize,
     line: u32,
     col: u32,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -206,8 +220,8 @@ impl<'a> Parser<'a> {
         let (line, col) = (self.line, self.col);
         let wrap = |value| Json { value, line, col };
         match self.peek() {
-            Some(b'{') => self.object().map(wrap),
-            Some(b'[') => self.array().map(wrap),
+            Some(b'{') => self.nested(Self::object).map(wrap),
+            Some(b'[') => self.nested(Self::array).map(wrap),
             Some(b'"') => self.string().map(|s| wrap(Value::Str(s))),
             Some(b't') => self.keyword("true").map(|()| wrap(Value::Bool(true))),
             Some(b'f') => self.keyword("false").map(|()| wrap(Value::Bool(false))),
@@ -218,6 +232,21 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn keyword(&mut self, kw: &str) -> Result<(), ParseError> {
@@ -505,6 +534,37 @@ mod tests {
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_i64(), Some(-1));
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses() {
+        for depth in [MAX_DEPTH - 1, MAX_DEPTH] {
+            let mut j = parse(&nested_arrays(depth)).unwrap();
+            let mut levels = 1;
+            while let Some([inner]) = j.as_arr() {
+                j = inner.clone();
+                levels += 1;
+            }
+            assert_eq!(levels, depth);
+        }
+        let mixed = "{\"a\":".repeat(MAX_DEPTH - 1) + "[]" + &"}".repeat(MAX_DEPTH - 1);
+        assert!(parse(&mixed).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let err = parse(&nested_arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.what, format!("nesting deeper than {MAX_DEPTH}"));
+        assert_eq!((err.line, err.col), (1, MAX_DEPTH as u32 + 1));
+        // 500 KB of unclosed brackets: a hostile serve request line.
+        let err = parse(&"[".repeat(500 * 1024)).unwrap_err();
+        assert!(err.what.contains("nesting deeper than"), "{err}");
+        let err = parse(&"{\"k\":".repeat(500 * 1024)).unwrap_err();
+        assert!(err.what.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

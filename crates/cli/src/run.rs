@@ -46,7 +46,7 @@ impl MatcherChoice {
             _ => {
                 if let Some(rest) = s.strip_prefix("scored") {
                     let threshold = match rest.strip_prefix(':') {
-                        None if rest.is_empty() => 0.75,
+                        None if rest.is_empty() => ScoredMatcher::DEFAULT_THRESHOLD,
                         Some(t) => t
                             .parse()
                             .map_err(|e| format!("bad scored threshold {t:?}: {e}"))?,

@@ -46,21 +46,47 @@
 //! reply, so `match`/`analyze` replies are byte-comparable across
 //! reloads of identical content — the property the hot-reload atomicity
 //! test locks.
+//!
+//! ## Reply memo
+//!
+//! A `match` or `analyze` reply is a pure function of the store
+//! generation and the request, and operators poll the same few views
+//! over one snapshot until the next refresh. Each [`StoreGen`] therefore
+//! owns a fixed-size memo, built empty at load, that keeps:
+//!
+//! * the match sets of `exact`, `rm1`, `rm2` and `scored` at the default
+//!   threshold (shared by `match` and `analyze … "method"`);
+//! * the `match` reply for each of those four, with and without `full`
+//!   (the method string is echoed as sent, per request);
+//! * the `analyze` reply for each of the five reports × {no method,
+//!   exact, rm1, rm2, scored}.
+//!
+//! That is at most 37 slots, so nothing is evicted and nothing is
+//! tunable. The memo is retired with its generation: a reload swaps in
+//! a fresh, empty one and the old one is freed with the old store, so
+//! there is no invalidation code. A slot is filled only by a request
+//! that computed its value inside the deadline; a deadline miss or a
+//! contained panic leaves it empty. Left uncached: `health` (it carries
+//! counters and uptime), `reload`, `shutdown` and `debug_*` (they act,
+//! not answer), and `scored:T` at any other threshold (an unbounded key
+//! space). `health` reports `memo_hits` and `memo_misses`.
 
 use crate::export::CampaignExport;
 use crate::json::{self, push_str_lit};
 use crate::run::{matchset_to_json, MatcherChoice};
 use crate::signals;
+use dmsa_analysis::render::REPORT_NAMES;
 use dmsa_core::{MatchMethod, MatchSet, ScoredMatcher, SharedPrepared, StoreSwap};
 use dmsa_gridnet::HealthSummary;
 use dmsa_rucio_sim::TransferPathStats;
 use dmsa_simcore::interval::Interval;
+use std::borrow::Cow;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -140,6 +166,85 @@ pub struct StoreGen {
     pub source: String,
     /// Records the lenient loader quarantined while loading it.
     pub quarantined: u64,
+    /// Replies already computed over this generation; built empty and
+    /// retired with it.
+    memo: ReplyMemo,
+}
+
+/// Memoized match sets: exact, rm1, rm2 and `scored` at
+/// [`ScoredMatcher::DEFAULT_THRESHOLD`].
+const MEMO_SETS: usize = 4;
+
+/// A generation's reply memo (see "Reply memo" in the module doc): one
+/// slot per cacheable key, 4 sets + 4 × 2 `match` bodies + 5 × 5
+/// `analyze` replies = 37 in all, so it needs no eviction.
+#[derive(Default)]
+struct ReplyMemo {
+    /// Match sets by [`ReplyMemo::slot`], shared by `match` and
+    /// `analyze` with a `"method"`.
+    sets: [OnceLock<MatchSet>; MEMO_SETS],
+    /// `match` replies after the echoed method string, by slot and
+    /// `full`. The echo is written per request: `scored` and
+    /// `scored:0.75` share a slot but not their echo.
+    match_bodies: [[OnceLock<String>; 2]; MEMO_SETS],
+    /// Whole `analyze` replies by report (in [`REPORT_NAMES`] order) and
+    /// method (0 for none, else 1 + slot).
+    analyze: [[OnceLock<String>; MEMO_SETS + 1]; REPORT_NAMES.len()],
+}
+
+impl ReplyMemo {
+    /// The memo slot of a matcher choice. `scored:T` away from the
+    /// default threshold has none: its key space is unbounded.
+    fn slot(choice: MatcherChoice) -> Option<usize> {
+        match choice {
+            MatcherChoice::Exact => Some(0),
+            MatcherChoice::Rm1 => Some(1),
+            MatcherChoice::Rm2 => Some(2),
+            MatcherChoice::Scored(t) if t == ScoredMatcher::DEFAULT_THRESHOLD => Some(3),
+            MatcherChoice::Scored(_) => None,
+        }
+    }
+}
+
+/// Look a value up in `slot`, computing it on a miss. The slot is filled
+/// only when `compute` succeeds, so a deadline miss or a contained panic
+/// leaves it empty for the next request. Requests that miss together
+/// each compute the same value and the first `set` wins; `get_or_init`
+/// would instead queue them behind one computation, and it cannot fail.
+/// Without a slot (an uncached key) the value is computed every time.
+fn memoized<'m, T: Clone, E>(
+    slot: Option<&'m OnceLock<T>>,
+    compute: impl FnOnce() -> Result<T, E>,
+) -> Result<Cow<'m, T>, E> {
+    let Some(slot) = slot else {
+        return compute().map(Cow::Owned);
+    };
+    if let Some(v) = slot.get() {
+        return Ok(Cow::Borrowed(v));
+    }
+    let _ = slot.set(compute()?);
+    Ok(Cow::Borrowed(slot.get().expect("slot filled above")))
+}
+
+/// [`memoized`] for a whole reply, counted as a memo hit or miss (an
+/// uncached key counts as neither).
+fn memoized_reply<'m>(
+    slot: Option<&'m OnceLock<String>>,
+    counters: &Counters,
+    compute: impl FnOnce() -> Result<String, String>,
+) -> Result<Cow<'m, str>, String> {
+    if let Some(slot) = slot {
+        let counter = if slot.get().is_some() {
+            &counters.memo_hits
+        } else {
+            &counters.memo_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+    memoized(slot, compute).map(|reply| match reply {
+        Cow::Borrowed(r) => Cow::Borrowed(r.as_str()),
+        Cow::Owned(r) => Cow::Owned(r),
+    })
 }
 
 /// Parse + validate + index an export into a servable [`StoreGen`].
@@ -178,6 +283,7 @@ pub fn load_store_gen(
         health: export.health,
         source: source.to_string(),
         quarantined,
+        memo: ReplyMemo::default(),
     })
 }
 
@@ -202,6 +308,10 @@ pub struct Counters {
     pub reloads_ok: AtomicU64,
     /// Reloads rejected with the old generation left serving.
     pub reloads_failed: AtomicU64,
+    /// `match`/`analyze` replies served from the generation's memo.
+    pub memo_hits: AtomicU64,
+    /// `match`/`analyze` requests whose memo slot was empty.
+    pub memo_misses: AtomicU64,
 }
 
 /// Shared mutable state of a running server.
@@ -660,7 +770,7 @@ fn match_with_deadline(
             }
             // The scored matcher has no incremental API; it runs whole
             // and the deadline is checked after (coarse cancellation).
-            let set = ScoredMatcher::default().match_jobs_scored(gen.shared.store(), gen.window, t);
+            let set = ScoredMatcher::default().match_prepared_scored(prepared, gen.window, t);
             return if Instant::now() > deadline {
                 Err(())
             } else {
@@ -696,22 +806,29 @@ fn handle_match(
     // Pin a generation for the whole request: a reload mid-request swaps
     // the slot but this Arc keeps the old store alive and consistent.
     let (gen, _g) = state.swap.load();
-    let set = match match_with_deadline(&gen, choice, deadline) {
-        Ok(s) => s,
-        Err(()) => return Err(err_reply("deadline_exceeded", None)),
-    };
-    let mut o = String::from("{\"ok\":true,\"cmd\":\"match\",\"method\":");
+    let slot = ReplyMemo::slot(choice);
+    let body_slot = slot.map(|i| &gen.memo.match_bodies[i][usize::from(full)]);
+    let body = memoized_reply(body_slot, &state.counters, || {
+        let set = memoized(slot.map(|i| &gen.memo.sets[i]), || {
+            match_with_deadline(&gen, choice, deadline)
+        })
+        .map_err(|()| err_reply("deadline_exceeded", None))?;
+        let mut o = format!(
+            ",\"matched_jobs\":{},\"matched_transfers\":{}",
+            set.n_matched_jobs(),
+            set.n_matched_transfers()
+        );
+        if full {
+            o.push_str(",\"set\":");
+            o.push_str(&matchset_to_json(&set));
+        }
+        o.push('}');
+        Ok(o)
+    })?;
+    let mut o = String::with_capacity(64 + body.len());
+    o.push_str("{\"ok\":true,\"cmd\":\"match\",\"method\":");
     push_str_lit(&mut o, method_str);
-    o.push_str(&format!(
-        ",\"matched_jobs\":{},\"matched_transfers\":{}",
-        set.n_matched_jobs(),
-        set.n_matched_transfers()
-    ));
-    if full {
-        o.push_str(",\"set\":");
-        o.push_str(&matchset_to_json(&set));
-    }
-    o.push('}');
+    o.push_str(&body);
     Ok(o)
 }
 
@@ -724,53 +841,65 @@ fn handle_analyze(
         state.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
         return Err(err_reply("bad_request", Some("missing \"report\"")));
     };
-    if !dmsa_analysis::render::REPORT_NAMES.contains(&report) {
+    let Some(report_idx) = REPORT_NAMES.iter().position(|&r| r == report) else {
         state.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
         return Err(err_reply(
             "bad_request",
             Some(&format!(
                 "unknown report {report:?} ({})",
-                dmsa_analysis::render::REPORT_NAMES.join("|")
+                REPORT_NAMES.join("|")
             )),
         ));
-    }
-    let (gen, _g) = state.swap.load();
+    };
     // Optional "method": co-compute a match set so the summary report
     // carries its overlap/activity tables, as the CLI does with a
     // --matches file.
-    let matches = match req.get("method").and_then(|m| m.as_str()) {
+    let choice = match req.get("method").and_then(|m| m.as_str()) {
         None => None,
-        Some(m) => {
-            let choice = match MatcherChoice::parse(m) {
-                Ok(c) => c,
-                Err(e) => {
-                    state.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                    return Err(err_reply("bad_request", Some(&e)));
-                }
-            };
-            match match_with_deadline(&gen, choice, deadline) {
-                Ok(s) => Some(s),
-                Err(()) => return Err(err_reply("deadline_exceeded", None)),
+        Some(m) => match MatcherChoice::parse(m) {
+            Ok(c) => Some(c),
+            Err(e) => {
+                state.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                return Err(err_reply("bad_request", Some(&e)));
             }
+        },
+    };
+    let (gen, _g) = state.swap.load();
+    let method_idx = match choice {
+        None => Some(0),
+        Some(c) => ReplyMemo::slot(c).map(|i| i + 1),
+    };
+    let reply_slot = method_idx.map(|m| &gen.memo.analyze[report_idx][m]);
+    let reply = memoized_reply(reply_slot, &state.counters, || {
+        let matches = match choice {
+            None => None,
+            Some(c) => Some(
+                memoized(ReplyMemo::slot(c).map(|i| &gen.memo.sets[i]), || {
+                    match_with_deadline(&gen, c, deadline)
+                })
+                .map_err(|()| err_reply("deadline_exceeded", None))?,
+            ),
+        };
+        if Instant::now() > deadline {
+            return Err(err_reply("deadline_exceeded", None));
         }
-    };
-    if Instant::now() > deadline {
-        return Err(err_reply("deadline_exceeded", None));
-    }
-    let inputs = dmsa_analysis::render::ReportInputs {
-        store: gen.shared.store(),
-        window: gen.window,
-        path_stats: gen.path_stats,
-        health: gen.health.as_ref(),
-    };
-    let text = dmsa_analysis::render::render_report_string(&inputs, report, matches.as_ref(), None)
-        .map_err(|e| err_reply("internal_error", Some(&e)))?;
-    let mut o = String::from("{\"ok\":true,\"cmd\":\"analyze\",\"report\":");
-    push_str_lit(&mut o, report);
-    o.push_str(",\"text\":");
-    push_str_lit(&mut o, &text);
-    o.push('}');
-    Ok(o)
+        let inputs = dmsa_analysis::render::ReportInputs {
+            store: gen.shared.store(),
+            window: gen.window,
+            path_stats: gen.path_stats,
+            health: gen.health.as_ref(),
+        };
+        let text =
+            dmsa_analysis::render::render_report_string(&inputs, report, matches.as_deref(), None)
+                .map_err(|e| err_reply("internal_error", Some(&e)))?;
+        let mut o = String::from("{\"ok\":true,\"cmd\":\"analyze\",\"report\":");
+        push_str_lit(&mut o, report);
+        o.push_str(",\"text\":");
+        push_str_lit(&mut o, &text);
+        o.push('}');
+        Ok(o)
+    })?;
+    Ok(reply.into_owned())
 }
 
 fn handle_reload(
@@ -817,7 +946,7 @@ fn health_reply(state: &Arc<ServeState>) -> String {
     o.push_str(",\"source\":");
     push_str_lit(&mut o, &gen.source);
     o.push_str("},\"counters\":{");
-    let pairs: [(&str, u64); 8] = [
+    let pairs: [(&str, u64); 10] = [
         ("served", c.served.load(Ordering::Relaxed)),
         ("shed", c.shed.load(Ordering::Relaxed)),
         ("bad_requests", c.bad_requests.load(Ordering::Relaxed)),
@@ -832,6 +961,8 @@ fn health_reply(state: &Arc<ServeState>) -> String {
         ),
         ("reloads_ok", c.reloads_ok.load(Ordering::Relaxed)),
         ("reloads_failed", c.reloads_failed.load(Ordering::Relaxed)),
+        ("memo_hits", c.memo_hits.load(Ordering::Relaxed)),
+        ("memo_misses", c.memo_misses.load(Ordering::Relaxed)),
     ];
     for (i, (k, v)) in pairs.iter().enumerate() {
         if i > 0 {
@@ -855,7 +986,12 @@ mod tests {
     use std::io::BufReader;
 
     fn tiny_export_json() -> String {
+        tiny_export_json_seeded(dmsa_scenario::ScenarioConfig::small().seed)
+    }
+
+    fn tiny_export_json_seeded(seed: u64) -> String {
         let mut c = dmsa_scenario::ScenarioConfig::small();
+        c.seed = seed;
         c.duration = dmsa_simcore::SimDuration::from_hours(3);
         c.workload.tasks_per_hour = 10.0;
         c.background_transfers_per_hour = 50.0;
@@ -972,6 +1108,255 @@ mod tests {
         let set_start = reply.find("\"set\":").expect("full reply carries set") + 6;
         let served = &reply[set_start..reply.len() - 1];
         assert_eq!(served, offline);
+        drop(server);
+    }
+
+    const METHODS: [&str; 4] = ["exact", "rm1", "rm2", "scored"];
+
+    /// Every memoized request line with the reply the library gives for
+    /// it over `json`: 4 methods × `full` for `match`, 5 reports × {no
+    /// method, 4 methods} for `analyze`.
+    fn library_replies(json: &str) -> Vec<(String, String)> {
+        let export = CampaignExport::from_json(json).unwrap();
+        let w = export.window;
+        let prepared = dmsa_core::PreparedStore::build(&export.store);
+        let sets = [
+            prepared.match_window(w, MatchMethod::Exact),
+            prepared.match_window(w, MatchMethod::Rm1),
+            prepared.match_window(w, MatchMethod::Rm2),
+            ScoredMatcher::default().match_jobs_scored(
+                &export.store,
+                w,
+                ScoredMatcher::DEFAULT_THRESHOLD,
+            ),
+        ];
+        let mut out = Vec::new();
+        for (m, set) in METHODS.iter().zip(&sets) {
+            for full in [false, true] {
+                let mut reply = format!(
+                    "{{\"ok\":true,\"cmd\":\"match\",\"method\":\"{m}\",\
+                     \"matched_jobs\":{},\"matched_transfers\":{}",
+                    set.n_matched_jobs(),
+                    set.n_matched_transfers()
+                );
+                if full {
+                    reply.push_str(",\"set\":");
+                    reply.push_str(&matchset_to_json(set));
+                }
+                reply.push('}');
+                let line = format!("{{\"cmd\":\"match\",\"method\":\"{m}\",\"full\":{full}}}");
+                out.push((line, reply));
+            }
+        }
+        let inputs = dmsa_analysis::render::ReportInputs {
+            store: &export.store,
+            window: w,
+            path_stats: export.path_stats,
+            health: export.health.as_ref(),
+        };
+        for report in REPORT_NAMES {
+            let with_methods = METHODS.iter().zip(&sets).map(|(m, s)| (Some(*m), Some(s)));
+            for (method, set) in [(None, None)].into_iter().chain(with_methods) {
+                let text = dmsa_analysis::render::render_report_string(&inputs, report, set, None)
+                    .unwrap();
+                let mut reply =
+                    format!("{{\"ok\":true,\"cmd\":\"analyze\",\"report\":\"{report}\"");
+                reply.push_str(",\"text\":");
+                push_str_lit(&mut reply, &text);
+                reply.push('}');
+                let line = match method {
+                    None => format!("{{\"cmd\":\"analyze\",\"report\":\"{report}\"}}"),
+                    Some(m) => {
+                        format!(
+                            "{{\"cmd\":\"analyze\",\"report\":\"{report}\",\"method\":\"{m}\"}}"
+                        )
+                    }
+                };
+                out.push((line, reply));
+            }
+        }
+        out
+    }
+
+    fn memo_counts(server: &Server) -> (u64, u64) {
+        let c = server.state().counters();
+        (
+            c.memo_hits.load(Ordering::Relaxed),
+            c.memo_misses.load(Ordering::Relaxed),
+        )
+    }
+
+    #[test]
+    fn every_memoized_key_replies_identically_twice_and_matches_the_library() {
+        let (server, json) = test_server(ServeConfig::default());
+        let expected = library_replies(&json);
+        assert_eq!(expected.len(), 33, "8 match keys + 25 analyze keys");
+        let mut c = Client::connect(server.local_addr());
+        for (line, reply) in &expected {
+            assert_eq!(&c.round_trip(line), reply, "first {line}");
+            assert_eq!(&c.round_trip(line), reply, "second {line}");
+        }
+        // Each key missed once, then hit once.
+        assert_eq!(memo_counts(&server), (33, 33));
+
+        // `scored:0.75` shares the default-threshold slot (a hit) but
+        // echoes its own method string.
+        let echoed = c.round_trip("{\"cmd\":\"match\",\"method\":\"scored:0.75\",\"full\":true}");
+        let scored_full = &expected[7].1;
+        assert_eq!(
+            echoed,
+            scored_full.replace("\"method\":\"scored\"", "\"method\":\"scored:0.75\"")
+        );
+        assert_eq!(memo_counts(&server), (34, 33));
+
+        // Uncached commands count as neither.
+        assert!(c
+            .round_trip("{\"cmd\":\"match\",\"method\":\"scored:0.6\"}")
+            .contains("\"ok\":true"));
+        assert!(c
+            .round_trip("{\"cmd\":\"analyze\",\"report\":\"summary\",\"method\":\"scored:0.6\"}")
+            .contains("\"ok\":true"));
+        let health = c.round_trip("{\"cmd\":\"health\"}");
+        assert_eq!(memo_counts(&server), (34, 33));
+        assert!(
+            health.contains("\"reloads_failed\":0,\"memo_hits\":34,\"memo_misses\":33}"),
+            "{health}"
+        );
+        drop(server);
+    }
+
+    #[test]
+    fn reload_to_a_different_export_serves_the_new_generation() {
+        let dir = std::env::temp_dir().join(format!("dmsa-serve-memo-{}", std::process::id()));
+        let _ = std::fs::create_dir_all(&dir);
+        let old_json = tiny_export_json();
+        let new_json = tiny_export_json_seeded(dmsa_scenario::ScenarioConfig::small().seed + 1);
+        let new_path = dir.join("new.json");
+        std::fs::write(&new_path, &new_json).unwrap();
+        let old = library_replies(&old_json);
+        let new = library_replies(&new_json);
+        assert!(
+            old.iter().zip(&new).any(|(a, b)| a.1 != b.1),
+            "the two exports must answer differently"
+        );
+
+        let server = Server::start(ServeConfig::default(), test_gen(&old_json), None).unwrap();
+        let mut c = Client::connect(server.local_addr());
+        for (line, reply) in old.iter().chain(&old) {
+            assert_eq!(&c.round_trip(line), reply, "generation 1: {line}");
+        }
+        assert_eq!(memo_counts(&server), (33, 33));
+
+        let mut path = String::new();
+        push_str_lit(&mut path, &new_path.display().to_string());
+        let reply = c.round_trip(&format!("{{\"cmd\":\"reload\",\"path\":{path}}}"));
+        assert!(reply.contains("\"generation\":2"), "{reply}");
+        for (line, reply) in new.iter().chain(&new) {
+            assert_eq!(&c.round_trip(line), reply, "generation 2: {line}");
+        }
+        // The new generation started with an empty memo.
+        assert_eq!(memo_counts(&server), (66, 66));
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_deadline_miss_leaves_the_memo_slot_empty() {
+        let json = tiny_export_json();
+        let expected = library_replies(&json);
+        let state = Arc::new(ServeState::new(test_gen(&json), None));
+        let match_line = "{\"cmd\":\"match\",\"method\":\"scored\",\"full\":true}";
+        let analyze_line = "{\"cmd\":\"analyze\",\"report\":\"redundancy\",\"method\":\"scored\"}";
+        let reference = |line: &str| &expected.iter().find(|(l, _)| l == line).unwrap().1;
+        let scored = ReplyMemo::slot(MatcherChoice::Scored(0.75)).unwrap();
+        let redundancy = REPORT_NAMES
+            .iter()
+            .position(|&r| r == "redundancy")
+            .unwrap();
+
+        // A 1 ms budget that has run out by the time the miss computes.
+        let expired = Instant::now() + Duration::from_millis(1);
+        thread::sleep(Duration::from_millis(5));
+        let m = handle_match(&json::parse(match_line).unwrap(), &state, expired);
+        assert_eq!(m, Err(err_reply("deadline_exceeded", None)));
+        let a = handle_analyze(&json::parse(analyze_line).unwrap(), &state, expired);
+        assert_eq!(a, Err(err_reply("deadline_exceeded", None)));
+        {
+            let (gen, _) = state.swap.load();
+            assert!(gen.memo.sets[scored].get().is_none());
+            assert!(gen.memo.match_bodies[scored][1].get().is_none());
+            assert!(gen.memo.analyze[redundancy][scored + 1].get().is_none());
+        }
+
+        // The same requests with a generous budget succeed and fill it.
+        let generous = Instant::now() + Duration::from_secs(60);
+        let m = handle_match(&json::parse(match_line).unwrap(), &state, generous);
+        assert_eq!(m.as_ref(), Ok(reference(match_line)));
+        let a = handle_analyze(&json::parse(analyze_line).unwrap(), &state, generous);
+        assert_eq!(a.as_ref(), Ok(reference(analyze_line)));
+        let (gen, _) = state.swap.load();
+        assert!(gen.memo.sets[scored].get().is_some());
+        assert!(gen.memo.match_bodies[scored][1].get().is_some());
+        assert!(gen.memo.analyze[redundancy][scored + 1].get().is_some());
+    }
+
+    #[test]
+    fn a_failed_or_panicking_computation_leaves_the_slot_empty() {
+        let slot: OnceLock<String> = OnceLock::new();
+        assert_eq!(
+            memoized(Some(&slot), || Err::<String, _>("late")),
+            Err("late")
+        );
+        assert!(slot.get().is_none());
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            memoized::<String, ()>(Some(&slot), || panic!("injected"))
+        }));
+        assert!(panicked.is_err());
+        assert!(slot.get().is_none());
+        let filled = memoized::<_, ()>(Some(&slot), || Ok("v".to_string())).unwrap();
+        assert!(matches!(filled, Cow::Borrowed(v) if v == "v"));
+        // A filled slot is never recomputed.
+        let again = memoized::<_, ()>(Some(&slot), || unreachable!()).unwrap();
+        assert_eq!(again.as_str(), "v");
+    }
+
+    #[test]
+    fn concurrent_first_requests_get_identical_bytes() {
+        let (server, json) = test_server(ServeConfig::default());
+        let expected = library_replies(&json);
+        let keys: Vec<(String, String)> = expected
+            .into_iter()
+            .filter(|(line, _)| {
+                line.contains("\"method\":\"rm2\",\"full\":true")
+                    || line.contains("\"report\":\"redundancy\",\"method\":\"scored\"")
+                    || line.contains("\"report\":\"summary\",\"method\":\"rm1\"")
+            })
+            .collect();
+        assert_eq!(keys.len(), 3);
+        let keys = Arc::new(keys);
+        let barrier = Arc::new(std::sync::Barrier::new(4));
+        let addr = server.local_addr();
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                let (keys, barrier) = (Arc::clone(&keys), Arc::clone(&barrier));
+                thread::spawn(move || {
+                    let mut c = Client::connect(addr);
+                    barrier.wait();
+                    keys.iter()
+                        .map(|(line, _)| c.round_trip(line))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for client in clients {
+            let replies = client.join().unwrap();
+            for ((line, reference), reply) in keys.iter().zip(&replies) {
+                assert_eq!(reply, reference, "{line}");
+            }
+        }
+        let (hits, misses) = memo_counts(&server);
+        assert_eq!(hits + misses, 12);
+        assert!((3..=12).contains(&misses), "{misses} misses");
         drop(server);
     }
 

@@ -315,3 +315,35 @@ fn drain_refuses_new_connections_but_finishes_inflight_work() {
     // ...and the drain completes clean.
     assert!(server.shutdown().clean);
 }
+
+#[test]
+fn hostile_nesting_gets_bad_request_and_the_connection_survives() {
+    // 500 KB of `[` on one line: under the line cap, so it reaches the
+    // JSON reader, whose nesting cap must refuse it instead of
+    // overflowing the connection thread's stack and aborting the process.
+    let json = tiny_export_json();
+    let server = Server::start(
+        ServeConfig::default(),
+        load_store_gen(&json, "<nesting>", 0.01).expect("export loads"),
+        None,
+    )
+    .expect("server starts");
+    let mut client = Client::connect(server.local_addr());
+    for hostile in ["[".repeat(500 * 1024), "{\"a\":".repeat(100 * 1024)] {
+        let reply = client.round_trip(&hostile);
+        assert!(reply.contains("\"error\":\"bad_request\""), "{reply}");
+        assert!(reply.contains("nesting deeper than"), "{reply}");
+        let health = client.round_trip("{\"cmd\":\"health\"}");
+        assert!(health.contains("\"ok\":true"), "{health}");
+    }
+    assert_eq!(
+        server
+            .state()
+            .counters()
+            .bad_requests
+            .load(Ordering::Relaxed),
+        2
+    );
+    drop(client);
+    assert!(server.shutdown().clean);
+}

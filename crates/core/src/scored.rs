@@ -81,6 +81,10 @@ pub struct ScoredMatcher {
 }
 
 impl ScoredMatcher {
+    /// The balanced threshold used when none is given (`scored` without
+    /// `:T` on the command line and in `dmsa serve`).
+    pub const DEFAULT_THRESHOLD: f64 = 0.75;
+
     /// Matcher with explicit parameters.
     pub fn new(params: ScoreParams) -> Self {
         ScoredMatcher { params }
@@ -199,13 +203,28 @@ impl ScoredMatcher {
 
     /// Threshold the scores into a [`MatchSet`] (reported under the RM2
     /// label, since scored matching is a strict generalization of it).
+    ///
+    /// Builds a throwaway [`PreparedStore`]; use
+    /// [`ScoredMatcher::match_prepared_scored`] to reuse one across calls.
     pub fn match_jobs_scored(
         &self,
         store: &MetaStore,
         window: Interval,
         threshold: f64,
     ) -> MatchSet {
-        let mut pairs = self.score_all(store, window);
+        self.match_prepared_scored(&PreparedStore::build(store), window, threshold)
+    }
+
+    /// Threshold the scores into a [`MatchSet`], over a shared prepared
+    /// index. Equal to [`ScoredMatcher::match_jobs_scored`] on the
+    /// index's store.
+    pub fn match_prepared_scored(
+        &self,
+        prepared: &PreparedStore<'_>,
+        window: Interval,
+        threshold: f64,
+    ) -> MatchSet {
+        let mut pairs = self.score_all_prepared(prepared, window);
         pairs.retain(|p| p.score >= threshold);
         pairs.sort_by(|a, b| {
             a.job_idx
@@ -230,9 +249,9 @@ impl ScoredMatcher {
 }
 
 impl Matcher for ScoredMatcher {
-    /// `Matcher` impl at a balanced default threshold of 0.75.
+    /// `Matcher` impl at the balanced [`ScoredMatcher::DEFAULT_THRESHOLD`].
     fn match_jobs(&self, store: &MetaStore, window: Interval, _method: MatchMethod) -> MatchSet {
-        self.match_jobs_scored(store, window, 0.75)
+        self.match_jobs_scored(store, window, Self::DEFAULT_THRESHOLD)
     }
 }
 
@@ -334,6 +353,33 @@ mod tests {
             last = n;
         }
         assert_eq!(last, 0, "threshold above 1 matches nothing");
+    }
+
+    #[test]
+    fn prepared_scored_matching_equals_the_building_path() {
+        let mut b = StoreBuilder::new();
+        let site = b.site("SITE-A");
+        let unknown = dmsa_metastore::SymbolTable::UNKNOWN;
+        for i in 0..30u64 {
+            b.job_with_file(i, 100 + i, site, 1_000 + i, 0, 100, 200);
+            let dst = if i % 3 == 0 { unknown } else { site };
+            b.download(i, 100 + i, site, dst, 1_000 + i, 10, 50);
+            if i % 4 == 0 {
+                b.store.jobs[i as usize].ninputfilebytes += 40;
+            }
+        }
+        let w = b.window();
+        let m = ScoredMatcher::default();
+        let prepared = PreparedStore::build(&b.store);
+        for t in [0.6, 0.75, 0.9] {
+            let built = m.match_jobs_scored(&b.store, w, t);
+            assert!(built.n_matched_jobs() > 0, "threshold {t} matched nothing");
+            assert_eq!(
+                m.match_prepared_scored(&prepared, w, t),
+                built,
+                "threshold {t}"
+            );
+        }
     }
 
     #[test]
