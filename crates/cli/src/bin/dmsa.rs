@@ -67,7 +67,7 @@ const USAGE: &str = "usage:
                  verified-complete cells instead of re-running them,
                  --cell-retries re-runs storage:-quarantined cells with
                  backoff, --cell-timeout quarantines hung cells)
-  dmsa verify   DIR
+  dmsa verify   DIR|FILE
                 (offline artifact audit: checkpoint frames, sweep
                  journals, campaign exports, sweep summaries/ops)
 
@@ -142,12 +142,13 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err("no subcommand".into());
     };
-    // `verify` takes a positional directory, not `--flag value` pairs.
+    // `verify` takes a positional directory or file, not `--flag value`
+    // pairs.
     if cmd == "verify" {
         let dir = rest
             .first()
             .filter(|d| !d.starts_with("--"))
-            .ok_or("verify needs a directory (dmsa verify DIR)")?;
+            .ok_or("verify needs a directory or file (dmsa verify DIR|FILE)")?;
         let outcome = verify::verify_dir(Path::new(dir))?;
         print_stdout(&outcome.to_string())?;
         return Ok(if outcome.clean() {

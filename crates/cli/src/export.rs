@@ -19,8 +19,25 @@
 //! [`CampaignExport::from_json`] is the strict variant: any quarantined
 //! record is an error. A file written by a *newer* format version is always
 //! rejected outright, with a found-vs-supported message.
+//!
+//! The loader makes two passes over the source with one
+//! `json::Reader`. The first validates the whole document, builds the
+//! small sections (`version`, `config`, `window`, `symbols`,
+//! `valid_sites`, `path_stats`, `health`) as [`Json`] trees, and only
+//! *skips* the three record arrays (`jobs`, `files`, `transfers`),
+//! keeping where each starts — so every syntax error still wins over
+//! every semantic one. The second decodes each record array straight
+//! into [`JobRecord`]/[`FileRecord`]/[`TransferRecord`]: one record's
+//! fields are read into a reused token buffer and checked, with no tree
+//! node and no per-field allocation. Positions are worked out only for
+//! the quarantine examples that are kept and for fatal errors.
+//!
+//! The original tree-then-walk loader survives as a test-only oracle
+//! (`export/oracle.rs`): the unit tests and `tests/proptest_export.rs`
+//! require both loaders to return the same errors, stores and
+//! quarantine reports.
 
-use crate::json::{self, Json};
+use crate::json::{self, push_i64, push_u64, Json, Reader, Tok};
 use dmsa_gridnet::{
     FaultConfig, HealthConfig, HealthCounters, HealthSubject, HealthSummary, OpenEpisode, SiteId,
     TopologyConfig,
@@ -35,6 +52,9 @@ use dmsa_scenario::{Campaign, ScenarioConfig};
 use dmsa_simcore::interval::Interval;
 use dmsa_simcore::{SimDuration, SimTime};
 use std::collections::HashSet;
+
+#[cfg(test)]
+mod oracle;
 
 /// Serializable campaign: metadata + window + provenance.
 pub struct CampaignExport {
@@ -92,7 +112,9 @@ pub struct QuarantineReport {
 }
 
 impl QuarantineReport {
-    fn note(&mut self, kind: Kind, example: String) {
+    /// Count one quarantined record; `example` is only built while fewer
+    /// than eight are kept, so counting never pays for a position.
+    fn note(&mut self, kind: Kind, example: impl FnOnce() -> String) {
         match kind {
             Kind::BadUtf8 => self.bad_utf8 += 1,
             Kind::OutOfRangeTime => self.out_of_range_time += 1,
@@ -101,7 +123,7 @@ impl QuarantineReport {
             Kind::Malformed => self.malformed += 1,
         }
         if self.examples.len() < 8 {
-            self.examples.push(example);
+            self.examples.push(example());
         }
     }
 
@@ -176,13 +198,13 @@ impl CampaignExport {
         let store = &self.store;
         let mut o = String::with_capacity(1 << 20);
         o.push_str("{\"version\":");
-        o.push_str(&self.version.to_string());
+        push_u64(&mut o, self.version.into());
         o.push_str(",\"config\":");
         write_config(&mut o, &self.config);
         o.push_str(",\"window\":[");
-        o.push_str(&self.window.start.as_millis().to_string());
+        push_time(&mut o, self.window.start);
         o.push(',');
-        o.push_str(&self.window.end.as_millis().to_string());
+        push_time(&mut o, self.window.end);
         o.push_str("],\"symbols\":[");
         for i in 0..store.symbols.len() as u32 {
             if i > 0 {
@@ -197,7 +219,7 @@ impl CampaignExport {
             if i > 0 {
                 o.push(',');
             }
-            o.push_str(&s.to_string());
+            push_u64(&mut o, (*s).into());
         }
         o.push_str("],\"jobs\":[");
         for (i, j) in store.jobs.iter().enumerate() {
@@ -236,7 +258,7 @@ impl CampaignExport {
             if i > 0 {
                 o.push(',');
             }
-            o.push_str(&v.to_string());
+            push_u64(&mut o, *v);
         }
         o.push_str("],\"health\":");
         match &self.health {
@@ -270,13 +292,7 @@ impl CampaignExport {
     /// unparseable document, a missing/broken required section, or a
     /// format version newer than this build supports.
     pub fn from_json_lenient(src: &str) -> Result<LoadedExport, String> {
-        let root = json::parse(src).map_err(|e| format!("campaign parse error {e}"))?;
-        if root.get("version").is_none() && !matches!(root.value, json::Value::Obj(_)) {
-            return Err(format!(
-                "campaign export must be a JSON object, {}",
-                root.at()
-            ));
-        }
+        let (root, records) = scan(src)?;
         let vj = root
             .get("version")
             .ok_or_else(|| format!("campaign export has no \"version\" field ({})", root.at()))?;
@@ -314,6 +330,7 @@ impl CampaignExport {
             .as_arr()
             .ok_or_else(|| format!("\"symbols\" must be an array {}", sj.at()))?;
         let mut symbols = SymbolTable::new();
+        symbols.reserve(sym_arr.len());
         for (i, el) in sym_arr.iter().enumerate() {
             let s = el
                 .as_str()
@@ -344,23 +361,30 @@ impl CampaignExport {
                 Some(s) if s < n_syms as u64 => {
                     valid_sites.insert(Sym(s as u32));
                 }
-                Some(s) => q.note(
-                    Kind::UnknownSiteSym,
+                Some(s) => q.note(Kind::UnknownSiteSym, || {
                     format!(
                         "valid_sites[{i}] {}: symbol {s} past table of {n_syms}",
                         el.at()
-                    ),
-                ),
-                None => q.note(
-                    Kind::Malformed,
-                    format!("valid_sites[{i}] {}: not a symbol id", el.at()),
-                ),
+                    )
+                }),
+                None => q.note(Kind::Malformed, || {
+                    format!("valid_sites[{i}] {}: not a symbol id", el.at())
+                }),
             }
         }
 
-        let jobs = load_section(&root, "jobs", &mut q, |el| parse_job(el, n_syms))?;
-        let files = load_section(&root, "files", &mut q, |el| parse_file(el, n_syms))?;
-        let transfers = load_section(&root, "transfers", &mut q, |el| parse_transfer(el, n_syms))?;
+        // Pass 2: decode the record arrays pass 1 validated.
+        let mut r = Reader::new(src);
+        let [jobs_at, files_at, transfers_at] = records;
+        let jobs = load_records(&mut r, &root, "jobs", jobs_at, 13, &mut q, |a| {
+            decode_job(a, n_syms)
+        })?;
+        let files = load_records(&mut r, &root, "files", files_at, 8, &mut q, |a| {
+            decode_file(a, n_syms)
+        })?;
+        let transfers = load_records(&mut r, &root, "transfers", transfers_at, 20, &mut q, |a| {
+            decode_transfer(a, n_syms)
+        })?;
 
         let path_stats = match root.get("path_stats") {
             None => TransferPathStats::default(),
@@ -409,29 +433,111 @@ impl CampaignExport {
     }
 }
 
+/// The top-level keys whose arrays pass 1 skips and pass 2 decodes.
+const RECORD_SECTIONS: [&str; 3] = ["jobs", "files", "transfers"];
+
+/// Where a record array starts in the source, and how many records it
+/// holds.
+#[derive(Clone, Copy)]
+struct RecordRange {
+    start: usize,
+    len: usize,
+}
+
+/// Pass 1: validate the whole document exactly as [`json::parse`] would,
+/// build every top-level section as a tree except the record arrays, and
+/// keep where those start. Sections may come in any order.
+fn scan(src: &str) -> Result<(Json, [Option<RecordRange>; 3]), String> {
+    let mut r = Reader::new(src);
+    r.skip_ws();
+    if r.peek() != Some(b'{') {
+        // Not an object: the tree parser tells a syntax error from a
+        // well-formed value of the wrong shape.
+        let root = json::parse(src).map_err(parse_err)?;
+        return Err(format!(
+            "campaign export must be a JSON object, {}",
+            root.at()
+        ));
+    }
+    let (line, col) = r.line_col(r.pos());
+    let mut fields = Vec::new();
+    let mut records = [None; 3];
+    r.each_field(|r, key| {
+        match RECORD_SECTIONS.iter().position(|s| *s == key) {
+            Some(k) if r.peek() == Some(b'[') => {
+                let start = r.pos();
+                let mut len = 0;
+                r.each_item(|r| {
+                    len += 1;
+                    r.skip()
+                })?;
+                records[k] = Some(RecordRange { start, len });
+            }
+            _ => fields.push((key.into_owned(), r.tree()?)),
+        }
+        Ok(())
+    })
+    .and_then(|()| r.finish())
+    .map_err(parse_err)?;
+    let root = Json {
+        value: json::Value::Obj(fields),
+        line,
+        col,
+    };
+    Ok((root, records))
+}
+
+fn parse_err(e: impl std::fmt::Display) -> String {
+    format!("campaign parse error {e}")
+}
+
 fn section<'a>(root: &'a Json, key: &str) -> Result<&'a Json, String> {
     root.get(key)
         .ok_or_else(|| format!("campaign export has no {key:?} section ({})", root.at()))
 }
 
-/// Stream one record section through `parse`, quarantining failures.
-fn load_section<T>(
+/// Pass 2 over one record section: read each record's fields into a
+/// reused token buffer and `decode` them, quarantining failures.
+fn load_records<'a, T>(
+    r: &mut Reader<'a>,
     root: &Json,
     key: &str,
+    range: Option<RecordRange>,
+    arity: usize,
     q: &mut QuarantineReport,
-    parse: impl Fn(&Json) -> Result<T, (Kind, String)>,
+    decode: impl Fn(&[Tok<'a>]) -> Result<T, RecErr>,
 ) -> Result<Vec<T>, String> {
-    let sj = section(root, key)?;
-    let arr = sj
-        .as_arr()
-        .ok_or_else(|| format!("{key:?} must be an array {}", sj.at()))?;
-    let mut out = Vec::with_capacity(arr.len());
-    for (i, el) in arr.iter().enumerate() {
-        match parse(el) {
+    let Some(range) = range else {
+        // Pass 1 skipped every array under this key, so the section is
+        // missing or is not an array.
+        let sj = section(root, key)?;
+        return Err(format!("{key:?} must be an array {}", sj.at()));
+    };
+    let mut out = Vec::with_capacity(range.len);
+    let mut fields: Vec<Tok<'a>> = Vec::with_capacity(arity + 1);
+    let mut i = 0usize;
+    r.seek(range.start, 1);
+    r.each_item(|r| {
+        let at = r.pos();
+        fields.clear();
+        let decoded = if r.peek() == Some(b'[') {
+            r.each_item(|r| {
+                fields.push(r.token()?);
+                Ok(())
+            })?;
+            rec_arity(&fields, arity).and_then(|()| decode(&fields))
+        } else {
+            r.skip()?;
+            Err((Kind::Malformed, "record is not an array".to_string()))
+        };
+        match decoded {
             Ok(v) => out.push(v),
-            Err((kind, what)) => q.note(kind, format!("{key}[{i}] {}: {what}", el.at())),
+            Err((kind, what)) => q.note(kind, || format!("{key}[{i}] {}: {what}", r.at(at))),
         }
-    }
+        i += 1;
+        Ok(())
+    })
+    .map_err(parse_err)?;
     Ok(out)
 }
 
@@ -439,12 +545,8 @@ fn load_section<T>(
 // Record writers (compact fixed-arity arrays)
 // ---------------------------------------------------------------------------
 
-fn push_u64(o: &mut String, v: u64) {
-    o.push_str(&v.to_string());
-}
-
 fn push_time(o: &mut String, t: SimTime) {
-    o.push_str(&t.as_millis().to_string());
+    push_i64(o, t.as_millis());
 }
 
 fn push_opt_u64(o: &mut String, v: Option<u64>) {
@@ -633,66 +735,83 @@ fn write_health(o: &mut String, h: &HealthSummary) {
 }
 
 // ---------------------------------------------------------------------------
-// Record parsers (quarantine on failure)
+// Record decoders (quarantine on failure)
 // ---------------------------------------------------------------------------
+//
+// Each decoder checks a record's fields in a fixed order, and the first
+// failure decides the record's quarantine kind and message. Labels are
+// string literals: nothing is formatted unless a field fails.
 
 type RecErr = (Kind, String);
 
-/// A record must be an array of exactly `arity` fields. Fewer is broken
-/// structure; *more* means a newer writer appended fields — version skew.
-fn rec_arr(el: &Json, arity: usize) -> Result<&[Json], RecErr> {
-    let arr = el
-        .as_arr()
-        .ok_or((Kind::Malformed, "record is not an array".to_string()))?;
-    if arr.len() < arity {
-        return Err((
-            Kind::Malformed,
-            format!("expected {arity} fields, got {}", arr.len()),
-        ));
-    }
-    if arr.len() > arity {
-        return Err((
-            Kind::VersionSkew,
-            format!("{} fields where this build knows {arity}", arr.len()),
-        ));
-    }
-    Ok(arr)
+/// A record's verdict. Cold, so the checks' fast paths stay small
+/// enough to inline into the decoders.
+#[cold]
+fn reject(kind: Kind, what: std::fmt::Arguments) -> RecErr {
+    (kind, what.to_string())
 }
 
-fn rec_u64(el: &Json, what: &str) -> Result<u64, RecErr> {
-    el.as_u64().ok_or_else(|| {
-        (
+/// A record must have exactly `arity` fields. Fewer is broken structure;
+/// *more* means a newer writer appended fields — version skew.
+fn rec_arity(fields: &[Tok], arity: usize) -> Result<(), RecErr> {
+    let n = fields.len();
+    if n < arity {
+        return Err(reject(
             Kind::Malformed,
-            format!("{what} is not an unsigned integer"),
+            format_args!("expected {arity} fields, got {n}"),
+        ));
+    }
+    if n > arity {
+        return Err(reject(
+            Kind::VersionSkew,
+            format_args!("{n} fields where this build knows {arity}"),
+        ));
+    }
+    Ok(())
+}
+
+fn rec_u64(t: &Tok, what: &str) -> Result<u64, RecErr> {
+    t.as_u64().ok_or_else(|| {
+        reject(
+            Kind::Malformed,
+            format_args!("{what} is not an unsigned integer"),
         )
     })
 }
 
-fn rec_bool(el: &Json, what: &str) -> Result<bool, RecErr> {
-    el.as_bool()
-        .ok_or_else(|| (Kind::Malformed, format!("{what} is not a boolean")))
+fn rec_bool(t: &Tok, what: &str) -> Result<bool, RecErr> {
+    t.as_bool()
+        .ok_or_else(|| reject(Kind::Malformed, format_args!("{what} is not a boolean")))
 }
 
-fn rec_time(el: &Json, what: &str) -> Result<SimTime, RecErr> {
-    let ms = el
-        .as_i64()
-        .ok_or_else(|| (Kind::Malformed, format!("{what} is not a timestamp")))?;
-    if ms < 0 {
-        return Err((
+fn rec_time(t: &Tok, what: &str) -> Result<SimTime, RecErr> {
+    match t.as_i64() {
+        Some(ms) if ms >= 0 => Ok(SimTime::from_millis(ms)),
+        Some(ms) => Err(reject(
             Kind::OutOfRangeTime,
-            format!("{what} is negative ({ms} ms)"),
-        ));
+            format_args!("{what} is negative ({ms} ms)"),
+        )),
+        None => Err(reject(
+            Kind::Malformed,
+            format_args!("{what} is not a timestamp"),
+        )),
     }
-    Ok(SimTime::from_millis(ms))
 }
 
-fn rec_span(arr: &[Json], si: usize, ei: usize, what: &str) -> Result<(SimTime, SimTime), RecErr> {
-    let s = rec_time(&arr[si], &format!("{what} start"))?;
-    let e = rec_time(&arr[ei], &format!("{what} end"))?;
+/// A `[start, end]` pair named `what`, each end checked under its own
+/// label (`"job start"`, `"job end"`).
+fn rec_span(
+    start: &Tok,
+    end: &Tok,
+    what: &str,
+    [start_what, end_what]: [&str; 2],
+) -> Result<(SimTime, SimTime), RecErr> {
+    let s = rec_time(start, start_what)?;
+    let e = rec_time(end, end_what)?;
     if e < s {
-        return Err((
+        return Err(reject(
             Kind::OutOfRangeTime,
-            format!(
+            format_args!(
                 "{what} ends before it starts ({} < {} ms)",
                 e.as_millis(),
                 s.as_millis()
@@ -702,42 +821,41 @@ fn rec_span(arr: &[Json], si: usize, ei: usize, what: &str) -> Result<(SimTime, 
     Ok((s, e))
 }
 
-fn rec_sym(el: &Json, n_syms: u32, what: &str) -> Result<Sym, RecErr> {
-    let v = rec_u64(el, what)?;
+fn rec_sym(t: &Tok, n_syms: u32, what: &str) -> Result<Sym, RecErr> {
+    let v = rec_u64(t, what)?;
     if v >= n_syms as u64 {
-        return Err((
+        return Err(reject(
             Kind::UnknownSiteSym,
-            format!("{what} references symbol {v}, table has {n_syms}"),
+            format_args!("{what} references symbol {v}, table has {n_syms}"),
         ));
     }
     Ok(Sym(v as u32))
 }
 
-fn rec_enum<'a>(el: &'a Json, what: &str) -> Result<&'a str, RecErr> {
-    let s = el
+fn rec_enum<'t>(t: &'t Tok, what: &str) -> Result<&'t str, RecErr> {
+    let s = t
         .as_str()
-        .ok_or_else(|| (Kind::Malformed, format!("{what} is not a string")))?;
+        .ok_or_else(|| reject(Kind::Malformed, format_args!("{what} is not a string")))?;
     if s.contains('\u{FFFD}') {
-        return Err((
+        return Err(reject(
             Kind::BadUtf8,
-            format!("{what} contains lossily-decoded bytes"),
+            format_args!("{what} contains lossily-decoded bytes"),
         ));
     }
     Ok(s)
 }
 
-fn rec_opt_u64(el: &Json, what: &str) -> Result<Option<u64>, RecErr> {
-    if el.is_null() {
+fn rec_opt_u64(t: &Tok, what: &str) -> Result<Option<u64>, RecErr> {
+    if t.is_null() {
         Ok(None)
     } else {
-        rec_u64(el, what).map(Some)
+        rec_u64(t, what).map(Some)
     }
 }
 
-fn parse_job(el: &Json, n_syms: u32) -> Result<JobRecord, RecErr> {
-    let a = rec_arr(el, 13)?;
+fn decode_job(a: &[Tok], n_syms: u32) -> Result<JobRecord, RecErr> {
     let creationtime = rec_time(&a[3], "creationtime")?;
-    let (starttime, endtime) = rec_span(a, 4, 5, "job")?;
+    let (starttime, endtime) = rec_span(&a[4], &a[5], "job", ["job start", "job end"])?;
     let io_mode = match rec_enum(&a[8], "io_mode")? {
         "stage_in" => IoMode::StageIn,
         "direct_io" => IoMode::DirectIo,
@@ -775,8 +893,7 @@ fn parse_job(el: &Json, n_syms: u32) -> Result<JobRecord, RecErr> {
     })
 }
 
-fn parse_file(el: &Json, n_syms: u32) -> Result<FileRecord, RecErr> {
-    let a = rec_arr(el, 8)?;
+fn decode_file(a: &[Tok], n_syms: u32) -> Result<FileRecord, RecErr> {
     let direction = match rec_enum(&a[7], "direction")? {
         "input" => FileDirection::Input,
         "output" => FileDirection::Output,
@@ -794,9 +911,9 @@ fn parse_file(el: &Json, n_syms: u32) -> Result<FileRecord, RecErr> {
     })
 }
 
-fn parse_transfer(el: &Json, n_syms: u32) -> Result<TransferRecord, RecErr> {
-    let a = rec_arr(el, 20)?;
-    let (starttime, endtime) = rec_span(a, 6, 7, "transfer")?;
+fn decode_transfer(a: &[Tok], n_syms: u32) -> Result<TransferRecord, RecErr> {
+    let (starttime, endtime) =
+        rec_span(&a[6], &a[7], "transfer", ["transfer start", "transfer end"])?;
     let activity = match rec_enum(&a[10], "activity")? {
         "analysis_download" => Activity::AnalysisDownload,
         "analysis_upload" => Activity::AnalysisUpload,
@@ -837,9 +954,9 @@ fn parse_transfer(el: &Json, n_syms: u32) -> Result<TransferRecord, RecErr> {
 }
 
 fn skew(what: &str, found: &str) -> RecErr {
-    (
+    reject(
         Kind::VersionSkew,
-        format!("unknown {what} value {found:?} (newer writer?)"),
+        format_args!("unknown {what} value {found:?} (newer writer?)"),
     )
 }
 
@@ -854,7 +971,9 @@ fn parse_health(h: &Json, q: &mut QuarantineReport) -> Result<HealthSummary, Str
     for (i, el) in arr.iter().enumerate() {
         match parse_episode(el) {
             Ok(e) => episodes.push(e),
-            Err((kind, what)) => q.note(kind, format!("health.episodes[{i}] {}: {what}", el.at())),
+            Err((kind, what)) => {
+                q.note(kind, || format!("health.episodes[{i}] {}: {what}", el.at()))
+            }
         }
     }
     let cj = h
@@ -880,7 +999,7 @@ fn parse_episode(el: &Json) -> Result<OpenEpisode, RecErr> {
         .as_arr()
         .ok_or((Kind::Malformed, "episode is not an array".to_string()))?;
     let site_id = |e: &Json, what: &str| -> Result<SiteId, RecErr> {
-        let v = rec_u64(e, what)?;
+        let v = rec_u64(&e.tok(), what)?;
         u32::try_from(v)
             .map(SiteId)
             .map_err(|_| (Kind::Malformed, format!("{what} {v} out of range")))
@@ -904,8 +1023,8 @@ fn parse_episode(el: &Json) -> Result<OpenEpisode, RecErr> {
         None => return Err((Kind::Malformed, "episode subject missing".into())),
     };
     let (from, until) = (
-        rec_time(&arr[ti], "episode from")?,
-        rec_time(&arr[ti + 1], "episode until")?,
+        rec_time(&arr[ti].tok(), "episode from")?,
+        rec_time(&arr[ti + 1].tok(), "episode until")?,
     );
     if until < from {
         return Err((
@@ -1020,7 +1139,7 @@ fn write_config(o: &mut String, c: &ScenarioConfig) {
     kv_f64(o, "p_task_drop_taskid", cm.p_task_drop_taskid);
     kv_f64(o, "p_clear_attempt", cm.p_clear_attempt);
     o.push_str("},\"duration_ms\":");
-    o.push_str(&c.duration.as_millis().to_string());
+    push_i64(o, c.duration.as_millis());
     kv_f64(
         o,
         "background_transfers_per_hour",
@@ -1106,7 +1225,8 @@ fn cfg_bool(obj: &Json, key: &str) -> Result<bool, String> {
         .ok_or_else(|| format!("config {key:?} is not a boolean {}", f.at()))
 }
 
-fn parse_config(j: &Json) -> Result<ScenarioConfig, String> {
+/// Decode an export's `config` section: the scenario that produced it.
+pub fn parse_config(j: &Json) -> Result<ScenarioConfig, String> {
     let t = cfg_field(j, "topology")?;
     let w = cfg_field(j, "workload")?;
     let b = cfg_field(j, "broker")?;
@@ -1374,6 +1494,116 @@ mod tests {
                 .unwrap_or_else(|| panic!("truncation at {cut} accepted"));
             assert!(err.contains("line"), "no position at cut {cut}: {err}");
         }
+    }
+
+    /// The streaming loader and the reference tree loader agree on `src`:
+    /// the same error string, or the same export bytes and quarantine
+    /// report.
+    fn assert_matches_oracle(src: &str) {
+        match (
+            CampaignExport::from_json_lenient(src),
+            oracle::from_json_lenient(src),
+        ) {
+            (Err(new), Err(old)) => assert_eq!(new, old),
+            (Ok(new), Ok(old)) => {
+                assert_eq!(new.quarantine, old.quarantine);
+                assert_eq!(new.export.to_json(), old.export.to_json());
+            }
+            (new, old) => panic!(
+                "loaders disagree: streaming {:?}, oracle {:?}",
+                new.err(),
+                old.err()
+            ),
+        }
+    }
+
+    #[test]
+    fn streaming_loader_matches_the_reference_loader() {
+        let campaign = dmsa_scenario::run(&tiny_config());
+        let json = CampaignExport::from_campaign(&campaign).to_json();
+        assert_matches_oracle(&json);
+        // Every record kind of damage, including more than eight
+        // quarantines (examples are capped, counts are not).
+        let mut damaged = json.clone();
+        for record in [
+            "[1,2,3]",
+            "{\"a\":1}",
+            "7",
+            "[1,1,999999,0,0,1,0,0,\"stage_in\",\"finished\",\"done\",null,true]",
+            "[1,1,0,0,5,1,0,0,\"stage_in\",\"finished\",\"done\",null,true]",
+            "[1,1,0,0,-5,1,0,0,\"stage_in\",\"finished\",\"done\",null,true]",
+            "[1,1,0,-0,0,1,0,0,\"stage_in\",\"finished\",\"done\",null,true]",
+            "[1.0,1e3,0,0,0,1,0,0,\"stage\\u005fin\",\"finished\",\"done\",4294967296,true]",
+            "[1,1,0,0,0,1,[0],0,\"stage_in\",\"finished\",\"done\",null,true]",
+            "[1,1,0,0,0,1,0,0,\"stage_in\",{\"x\":[]},\"done\",null,true]",
+            "[1,1,0,0,0,1,0,0,\"stage_in\",\"finished\",\"done\",null,true,9]",
+            "[1,1,0,0,0,1,0,0,\"stage_in\",\"finish\u{FFFD}d\",\"done\",null,true]",
+        ] {
+            damaged = inject(&damaged, "jobs", record);
+        }
+        damaged = inject(
+            &damaged,
+            "transfers",
+            "[1,0,0,0,0,10,100,500,0,0,\"analysis_upload\",null,false,true,0,true,null,0,0,10]",
+        );
+        damaged = inject(&damaged, "files", "[1,2,3,4,5,6,7,\"sideways\"]");
+        damaged = inject(&damaged, "valid_sites", "999999");
+        assert_matches_oracle(&damaged);
+        // Syntax errors anywhere win over semantic errors.
+        assert_matches_oracle(&inject(&json, "transfers", "[1,{\"a\":1,\"a\":2}]"));
+        assert_matches_oracle(&inject(&json, "files", "[1,\"\\q\"]"));
+        assert_matches_oracle(&inject(&json, "jobs", "[1e999]"));
+        assert_matches_oracle(&json.replace("\"version\":1", "\"version\":1,\"version\":1"));
+        // Sections in another order, and a section that is not an array.
+        let transfers_at = json.find(",\"transfers\":").unwrap();
+        let path_at = json.find(",\"path_stats\":").unwrap();
+        let jobs_at = json.find(",\"jobs\":").unwrap();
+        let reordered = format!(
+            "{}{}{}{}",
+            &json[..jobs_at],
+            &json[transfers_at..path_at],
+            &json[jobs_at..transfers_at],
+            &json[path_at..]
+        );
+        assert_matches_oracle(&reordered);
+        assert_matches_oracle(&json.replace("\"files\":[", "\"files\":{\"x\":["));
+        assert_matches_oracle(&json.replace("\"files\":[", "\"filez\":["));
+        assert_matches_oracle("[1,2]");
+        assert_matches_oracle("  \"export\"  ");
+        assert_matches_oracle("{}");
+        for cut in (0..json.len()).step_by(json.len() / 97 + 1) {
+            assert_matches_oracle(&json[..cut]);
+        }
+    }
+
+    #[test]
+    fn json_parse_matches_the_reference_parser() {
+        for src in [
+            "",
+            " ",
+            "{\"a\":[1,2,{\"b\":null}],\"c\":\"x\\u00e9\"}",
+            "{\"a\":1,\n \"a\":2}",
+            "[\"\\ud83d\\ude00\", \"\\ud83d\", \"\\ude00\"]",
+            "[\"\\ud83d\\u0041\"]",
+            "[\"\\u12\"]",
+            "[\"é\nx\"]",
+            "[\"é\", x]",
+            "\n\n  [1,\n 2,\n -]",
+            "[01, 1., -.5, 1e5, 2E-3]",
+            "[1e400]",
+            "{\"a\" 1}",
+            "{1:2}",
+            "[1 2]",
+            "[tru]",
+            "nul",
+            "\"unterminated",
+            "[\"tab\there\"]",
+            "{\"k\":1} x",
+        ] {
+            assert_eq!(json::parse(src), oracle::parse(src), "{src:?}");
+        }
+        let deep = "[".repeat(json::MAX_DEPTH + 1);
+        assert_eq!(json::parse(&deep), oracle::parse(&deep));
     }
 
     fn tiny_config() -> dmsa_scenario::ScenarioConfig {

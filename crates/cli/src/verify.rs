@@ -13,8 +13,8 @@
 //!   via [`crate::journal`]. A torn tail is *not* corruption — it is the
 //!   format's crash model, and `dmsa sweep --resume` salvages the
 //!   prefix — but an unreadable header is.
-//! - **Campaign exports** (JSON with `version` + `config`): parsed with
-//!   the lenient loader; any quarantined record is a corruption.
+//! - **Campaign exports** (JSON with `version` + `config`): loaded once,
+//!   by the lenient loader; any quarantined record is a corruption.
 //! - **Sweep summaries** (`schema: dmsa-sweep-summary-v2`): schema tag,
 //!   cell-count consistency, and that every cell export the summary
 //!   references actually exists next to it. The `sweep_ops.json`
@@ -22,6 +22,11 @@
 //!   other schema value is version skew, reported as corrupt.
 //! - **Match sets** (JSON with `method` + `jobs`): re-parsed through the
 //!   same strict loader `dmsa analyze` uses.
+//!
+//! JSON artifacts are classified from their top-level keys: one
+//! validating walk of the document that builds only the `schema` value,
+//! so a syntax error anywhere is reported as unparseable JSON before any
+//! auditor runs.
 //!
 //! Anything else is listed as skipped, never silently ignored: an auditor
 //! that skips quietly is how torn artifacts survive.
@@ -102,8 +107,16 @@ impl fmt::Display for VerifyOutcome {
 }
 
 /// Walk `dir` (one level — artifact directories are flat) and audit every
-/// file, in sorted order so the report is stable for diffing.
+/// file, in sorted order so the report is stable for diffing. A path to
+/// a single file audits that file alone.
 pub fn verify_dir(dir: &Path) -> Result<VerifyOutcome, String> {
+    if dir.is_file() {
+        let path = dir.to_path_buf();
+        let verdict = verify_file(&path);
+        return Ok(VerifyOutcome {
+            reports: vec![FileReport { path, verdict }],
+        });
+    }
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)
         .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
         .filter_map(|e| e.ok())
@@ -155,16 +168,15 @@ pub fn verify_file(path: &Path) -> FileVerdict {
             }
         }
     };
-    let doc = match json::parse(text) {
-        Ok(v) => v,
-        Err(e) => {
-            return FileVerdict::Corrupt {
-                kind: "json",
-                reason: format!("unparseable JSON: {e}"),
-            }
-        }
+    let shape = match Shape::read(text) {
+        Ok(shape) => shape,
+        Err(e) => return unparseable(&e),
     };
-    if let Some(schema) = doc.get("schema").and_then(|v| v.as_str()) {
+    if let Some(schema) = shape.schema.as_ref().and_then(|v| v.as_str()) {
+        let doc = match json::parse(text) {
+            Ok(doc) => doc,
+            Err(e) => return unparseable(&e),
+        };
         return match schema {
             crate::sweep::SWEEP_SCHEMA => verify_sweep_summary(path, &doc),
             crate::sweep::OPS_SCHEMA => verify_sweep_ops(&doc),
@@ -178,20 +190,66 @@ pub fn verify_file(path: &Path) -> FileVerdict {
             },
         };
     }
-    if doc.get("schema").is_some() {
+    if shape.schema.is_some() {
         return FileVerdict::Corrupt {
             kind: "sweep-summary",
             reason: "schema tag present but not a string".into(),
         };
     }
-    if doc.get("method").is_some() {
+    if shape.method {
         return verify_matchset(text);
     }
-    if doc.get("version").is_some() && doc.get("config").is_some() {
+    if shape.version && shape.config {
         return verify_campaign(text);
     }
     FileVerdict::Skipped {
         reason: "JSON object of unknown shape".into(),
+    }
+}
+
+fn unparseable(e: &json::ParseError) -> FileVerdict {
+    FileVerdict::Corrupt {
+        kind: "json",
+        reason: format!("unparseable JSON: {e}"),
+    }
+}
+
+/// What classifying a JSON artifact needs: which top-level keys it has,
+/// and the `schema` value. Reading it validates the whole document, but
+/// builds nothing else, so a campaign export is decoded only once, by
+/// the lenient loader that audits it.
+#[derive(Default)]
+struct Shape {
+    schema: Option<json::Json>,
+    method: bool,
+    version: bool,
+    config: bool,
+}
+
+impl Shape {
+    fn read(text: &str) -> Result<Shape, json::ParseError> {
+        let mut shape = Shape::default();
+        let mut r = json::Reader::new(text);
+        r.skip_ws();
+        let walked = if r.peek() == Some(b'{') {
+            r.each_field(|r, key| {
+                match &*key {
+                    "schema" => {
+                        shape.schema = Some(r.tree()?);
+                        return Ok(());
+                    }
+                    "method" => shape.method = true,
+                    "version" => shape.version = true,
+                    "config" => shape.config = true,
+                    _ => {}
+                }
+                r.skip()
+            })
+        } else {
+            r.skip()
+        };
+        walked.and_then(|()| r.finish()).map_err(|e| *e)?;
+        Ok(shape)
     }
 }
 
@@ -510,7 +568,37 @@ mod tests {
         assert_eq!(outcome.corrupt_count(), 0, "{outcome}");
         assert_eq!(outcome.ok_count(), 1);
 
+        // A single file audits alone, with the same verdict.
+        let alone = verify_dir(&dir.join("campaign.json")).unwrap();
+        assert_eq!(alone.reports.len(), 1);
+        assert_eq!(alone.reports[0].verdict, outcome.reports[0].verdict);
+
+        // Damage inside the records: a syntax error is unparseable JSON,
+        // a bad record is a quarantine.
+        let text = export.to_json();
+        let torn = text.replacen("\"jobs\":[[", "\"jobs\":[[,", 1);
+        fs::write(dir.join("campaign.json"), &torn).unwrap();
+        let want = format!("unparseable JSON: {}", json::parse(&torn).unwrap_err());
+        match verify_file(&dir.join("campaign.json")) {
+            FileVerdict::Corrupt { kind, reason } => {
+                assert_eq!((kind, reason), ("json", want));
+            }
+            other => panic!("torn export audited as {other:?}"),
+        }
+        let skewed = text.replacen("\"jobs\":[", "\"jobs\":[[1,2],", 1);
+        fs::write(dir.join("campaign.json"), &skewed).unwrap();
+        assert_eq!(
+            verify_file(&dir.join("campaign.json")),
+            FileVerdict::Corrupt {
+                kind: "campaign",
+                reason: "1 quarantined records (bad-utf8 0, out-of-range-time 0, \
+                         unknown-site-sym 0, version-skew 0, malformed 1)"
+                    .into(),
+            }
+        );
+
         // Now plant a subtle corruption: truncate the tail.
+        fs::write(dir.join("campaign.json"), &text).unwrap();
         let text = fs::read_to_string(dir.join("campaign.json")).unwrap();
         fs::write(dir.join("campaign.json"), &text[..text.len() - 20]).unwrap();
         let outcome = verify_dir(&dir).unwrap();

@@ -74,6 +74,16 @@ impl SymbolTable {
         Sym(id)
     }
 
+    /// Make room for `additional` more symbols, so interning them does
+    /// not re-home the index on the way.
+    pub fn reserve(&mut self, additional: usize) {
+        let want = self.strings.len() + additional;
+        self.strings.reserve(additional);
+        while want * 8 > self.slots.len() * 7 {
+            self.grow();
+        }
+    }
+
     /// Resolve a symbol back to its string.
     pub fn resolve(&self, sym: Sym) -> &str {
         &self.strings[sym.0 as usize]
