@@ -20,7 +20,7 @@ use dmsa_cli::run::{
 use dmsa_cli::serve::{load_store_gen, ServeConfig, Server};
 use dmsa_cli::signals;
 use dmsa_cli::sweep::{
-    human_report, parse_breakers, parse_fail_probs, parse_seeds, run_sweep, SweepOpts,
+    human_report, parse_breakers, parse_fail_probs, parse_seed, parse_seeds, run_sweep, SweepOpts,
 };
 use dmsa_cli::verify;
 use dmsa_cli::vfs::{self, ChaosProfile, IoRetryPolicy};
@@ -186,7 +186,7 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                 .unwrap_or(0.02);
             let seed: u64 = f
                 .get("seed")
-                .map(|s| s.parse().map_err(|e| format!("bad --seed: {e}")))
+                .map(|s| parse_seed(s).map_err(|e| format!("--seed: {e}")))
                 .transpose()?
                 .unwrap_or(42);
             let opt_f64 = |key: &str| -> Result<Option<f64>, String> {

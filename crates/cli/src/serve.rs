@@ -578,11 +578,20 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServeState>, cfg: &Serve
                 discarding = false;
                 continue;
             }
-            let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-            if line.trim().is_empty() {
-                continue;
-            }
-            let reply = serve_request(&line, state, cfg);
+            let reply = match std::str::from_utf8(&line[..line.len() - 1]) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => serve_request(line, state, cfg),
+                Err(e) => {
+                    state.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                    err_reply(
+                        "bad_request",
+                        Some(&format!(
+                            "request line is not UTF-8 (byte {})",
+                            e.valid_up_to()
+                        )),
+                    )
+                }
+            };
             if !write_reply(&mut stream, &reply, state) {
                 return;
             }
@@ -1026,7 +1035,11 @@ mod tests {
         }
 
         fn send(&mut self, line: &str) {
-            self.stream.write_all(line.as_bytes()).unwrap();
+            self.send_bytes(line.as_bytes());
+        }
+
+        fn send_bytes(&mut self, line: &[u8]) {
+            self.stream.write_all(line).unwrap();
             self.stream.write_all(b"\n").unwrap();
         }
 
@@ -1089,6 +1102,37 @@ mod tests {
         // The same connection still serves the next request.
         let health = c.round_trip("{\"cmd\":\"health\"}");
         assert!(health.contains("\"ok\":true"), "{health}");
+        let out = server.shutdown();
+        assert!(out.clean, "drain left {} conns", out.abandoned_conns);
+    }
+
+    #[test]
+    fn hostile_lines_get_bad_request_and_the_server_lives() {
+        let cfg = ServeConfig {
+            max_line_bytes: 256,
+            ..ServeConfig::default()
+        };
+        let (server, _) = test_server(cfg);
+        let mut c = Client::connect(server.local_addr());
+        let hostile: Vec<Vec<u8>> = vec![
+            vec![b'x'; 4096],
+            b"{\"cmd\":\"health\",\"x\":\"\xff\xfe\"}".to_vec(),
+            b"{\"cmd\":\"health".to_vec(),
+            b"{\"cmd\":\"health\",".to_vec(),
+            b"{\"a\":".repeat(300),
+            b"{\"cmd\":\"match\",\"method\":1e999}".to_vec(),
+        ];
+        for line in &hostile {
+            c.send_bytes(line);
+            let reply = c.recv();
+            let shown = String::from_utf8_lossy(&line[..line.len().min(40)]);
+            assert!(reply.contains("\"bad_request\""), "{shown}: {reply}");
+            let health = c.round_trip("{\"cmd\":\"health\"}");
+            assert!(health.contains("\"ok\":true"), "{shown}: {health}");
+        }
+        let health = c.round_trip("{\"cmd\":\"health\"}");
+        let counted = format!("\"bad_requests\":{}", hostile.len());
+        assert!(health.contains(&counted), "{health}");
         let out = server.shutdown();
         assert!(out.clean, "drain left {} conns", out.abandoned_conns);
     }
@@ -1322,7 +1366,13 @@ mod tests {
 
     #[test]
     fn concurrent_first_requests_get_identical_bytes() {
-        let (server, json) = test_server(ServeConfig::default());
+        // Admit all four clients at once: on a host with fewer cores the
+        // default in-flight limit would shed some of them instead.
+        let cfg = ServeConfig {
+            max_inflight: 4,
+            ..ServeConfig::default()
+        };
+        let (server, json) = test_server(cfg);
         let expected = library_replies(&json);
         let keys: Vec<(String, String)> = expected
             .into_iter()

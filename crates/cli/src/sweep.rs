@@ -222,11 +222,25 @@ fn split_list(s: &str) -> impl Iterator<Item = &str> {
     s.split(',').map(str::trim).filter(|t| !t.is_empty())
 }
 
+/// Largest seed a campaign export carries exactly. `cli::json` reads
+/// numbers as `f64`, so a larger seed writes an export that strict load
+/// refuses and that a sweep's `--resume` audit can never adopt.
+pub const MAX_SEED: u64 = 1 << 53;
+
+/// Parse one `--seed`/`--seeds` value, bounded at [`MAX_SEED`].
+pub fn parse_seed(t: &str) -> Result<u64, String> {
+    let seed: u64 = t.parse().map_err(|e| format!("bad seed {t:?}: {e}"))?;
+    if seed > MAX_SEED {
+        return Err(format!(
+            "bad seed {t:?}: above the limit 2^53 = {MAX_SEED} that an export carries exactly"
+        ));
+    }
+    Ok(seed)
+}
+
 /// Parse a `--seeds 1,7,42` axis.
 pub fn parse_seeds(s: &str) -> Result<Vec<u64>, String> {
-    split_list(s)
-        .map(|t| t.parse().map_err(|e| format!("bad seed {t:?}: {e}")))
-        .collect()
+    split_list(s).map(parse_seed).collect()
 }
 
 /// Parse a `--fail-probs 0.05,0.2` axis.
@@ -1103,6 +1117,13 @@ mod tests {
     fn axis_flag_parsing() {
         assert_eq!(parse_seeds("1, 7,42").unwrap(), vec![1, 7, 42]);
         assert!(parse_seeds("1,x").is_err());
+        assert_eq!(parse_seeds("9007199254740992").unwrap(), vec![MAX_SEED]);
+        let err = parse_seeds("1,9007199254740993").unwrap_err();
+        assert!(
+            err.contains("above the limit 2^53 = 9007199254740992"),
+            "{err}"
+        );
+        assert!(parse_seed("18446744073709551615").is_err());
         assert_eq!(parse_fail_probs("0.05,0.2").unwrap(), vec![0.05, 0.2]);
         assert!(parse_fail_probs("1.5").is_err());
         assert_eq!(

@@ -292,7 +292,7 @@ mod tests {
         assert_ne!(fp, c.behavior_fingerprint(), "breaker arming missed");
         let mut c = ScenarioConfig::faulty_adaptive();
         let fp_a = c.behavior_fingerprint();
-        c.health.cooldown = c.health.cooldown + SimDuration::from_secs(1);
+        c.health.cooldown += SimDuration::from_secs(1);
         assert_ne!(fp_a, c.behavior_fingerprint(), "breaker cooldown missed");
         let mut c = base.clone();
         c.retry.max_retries += 1;

@@ -166,13 +166,11 @@ proptest! {
     ) {
         let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
         let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
-        let mut next = 0u32;
-        for &(gap, pop_now) in &ops {
+        for (next, &(gap, pop_now)) in (0u32..).zip(&ops) {
             // Push relative to the consumed clock so time never regresses.
             let at = cal.now() + SimDuration::from_millis(gap);
             cal.push(at, next);
             heap.push(at, next);
-            next += 1;
             if pop_now {
                 prop_assert_eq!(cal.pop(), heap.pop());
                 prop_assert_eq!(cal.now(), heap.now());
