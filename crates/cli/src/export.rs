@@ -20,17 +20,20 @@
 //! record is an error. A file written by a *newer* format version is always
 //! rejected outright, with a found-vs-supported message.
 //!
-//! The loader makes two passes over the source with one
-//! `json::Reader`. The first validates the whole document, builds the
-//! small sections (`version`, `config`, `window`, `symbols`,
-//! `valid_sites`, `path_stats`, `health`) as [`Json`] trees, and only
-//! *skips* the three record arrays (`jobs`, `files`, `transfers`),
-//! keeping where each starts — so every syntax error still wins over
-//! every semantic one. The second decodes each record array straight
-//! into [`JobRecord`]/[`FileRecord`]/[`TransferRecord`]: one record's
-//! fields are read into a reused token buffer and checked, with no tree
-//! node and no per-field allocation. Positions are worked out only for
-//! the quarantine examples that are kept and for fatal errors.
+//! The loader makes one pass over the source with one `json::Reader`.
+//! The small sections (`version`, `config`, `window`, `valid_sites`,
+//! `path_stats`, `health`) are built as [`Json`] trees; `symbols` is
+//! interned straight into the table as it is read; and each record
+//! array (`jobs`, `files`, `transfers`) that comes after `symbols` is
+//! decoded as the scanner reaches it, straight into
+//! [`JobRecord`]/[`FileRecord`]/[`TransferRecord`]: one record's fields
+//! are read into a reused token buffer and checked, with no tree node
+//! and no per-field allocation. A record array placed before `symbols`
+//! (dmsa never writes one there) is validated where it stands and
+//! decoded after the pass by the same routine. Semantic errors are kept
+//! until the pass ends and then reported in a fixed order, so every
+//! syntax error still wins over every semantic one. Positions are worked
+//! out only for the quarantine examples that are kept and for errors.
 //!
 //! The original tree-then-walk loader survives as a test-only oracle
 //! (`export/oracle.rs`): the unit tests and `tests/proptest_export.rs`
@@ -55,6 +58,13 @@ use std::collections::HashSet;
 
 #[cfg(test)]
 mod oracle;
+
+/// Per-record widths for [`ExportParts::size_hint`]: the widest record
+/// of a paper_8day export (121, 65 and 163 bytes with its comma) plus
+/// room for ten-digit times and seven-digit symbol ids.
+const JOB_BYTES: usize = 136;
+const FILE_BYTES: usize = 80;
+const TRANSFER_BYTES: usize = 192;
 
 /// Serializable campaign: metadata + window + provenance.
 pub struct CampaignExport {
@@ -94,6 +104,9 @@ enum Kind {
     Malformed,
 }
 
+/// Most example diagnoses a [`QuarantineReport`] keeps.
+const MAX_EXAMPLES: usize = 8;
+
 /// Per-kind counts of quarantined records, plus example diagnoses.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QuarantineReport {
@@ -122,9 +135,22 @@ impl QuarantineReport {
             Kind::VersionSkew => self.version_skew += 1,
             Kind::Malformed => self.malformed += 1,
         }
-        if self.examples.len() < 8 {
+        if self.examples.len() < MAX_EXAMPLES {
             self.examples.push(example());
         }
+    }
+
+    /// Add a later section's report: its counts, and its examples while
+    /// fewer than eight are kept, so reports merged in section order
+    /// equal one report kept across the sections in that order.
+    fn absorb(&mut self, later: QuarantineReport) {
+        self.bad_utf8 += later.bad_utf8;
+        self.out_of_range_time += later.out_of_range_time;
+        self.unknown_site_sym += later.unknown_site_sym;
+        self.version_skew += later.version_skew;
+        self.malformed += later.malformed;
+        let room = MAX_EXAMPLES.saturating_sub(self.examples.len());
+        self.examples.extend(later.examples.into_iter().take(room));
     }
 
     /// Total quarantined records.
@@ -192,81 +218,33 @@ impl CampaignExport {
         }
     }
 
+    /// Serialize a campaign's export straight from the campaign, without
+    /// copying its store: the same bytes as
+    /// `CampaignExport::from_campaign(campaign).to_json()`.
+    pub fn campaign_json(campaign: &Campaign) -> String {
+        ExportParts {
+            version: FORMAT_VERSION,
+            config: &campaign.config,
+            window: campaign.window,
+            store: &campaign.store,
+            path_stats: &campaign.path_stats,
+            health: campaign.health.as_ref(),
+        }
+        .to_json()
+    }
+
     /// Serialize to JSON. Deterministic: the same export always produces
     /// the same bytes (the resume tests compare exports byte-for-byte).
     pub fn to_json(&self) -> String {
-        let store = &self.store;
-        let mut o = String::with_capacity(1 << 20);
-        o.push_str("{\"version\":");
-        push_u64(&mut o, self.version.into());
-        o.push_str(",\"config\":");
-        write_config(&mut o, &self.config);
-        o.push_str(",\"window\":[");
-        push_time(&mut o, self.window.start);
-        o.push(',');
-        push_time(&mut o, self.window.end);
-        o.push_str("],\"symbols\":[");
-        for i in 0..store.symbols.len() as u32 {
-            if i > 0 {
-                o.push(',');
-            }
-            json::push_str_lit(&mut o, store.symbols.resolve(Sym(i)));
+        ExportParts {
+            version: self.version,
+            config: &self.config,
+            window: self.window,
+            store: &self.store,
+            path_stats: &self.path_stats,
+            health: self.health.as_ref(),
         }
-        o.push_str("],\"valid_sites\":[");
-        let mut sites: Vec<u32> = store.valid_sites.iter().map(|s| s.0).collect();
-        sites.sort_unstable();
-        for (i, s) in sites.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            push_u64(&mut o, (*s).into());
-        }
-        o.push_str("],\"jobs\":[");
-        for (i, j) in store.jobs.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            write_job(&mut o, j);
-        }
-        o.push_str("],\"files\":[");
-        for (i, f) in store.files.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            write_file(&mut o, f);
-        }
-        o.push_str("],\"transfers\":[");
-        for (i, t) in store.transfers.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            write_transfer(&mut o, t);
-        }
-        o.push_str("],\"path_stats\":[");
-        let p = &self.path_stats;
-        for (i, v) in [
-            p.requests,
-            p.delivered,
-            p.delivered_after_retry,
-            p.failed_attempts,
-            p.exhausted,
-            p.no_replica,
-        ]
-        .iter()
-        .enumerate()
-        {
-            if i > 0 {
-                o.push(',');
-            }
-            push_u64(&mut o, *v);
-        }
-        o.push_str("],\"health\":");
-        match &self.health {
-            None => o.push_str("null"),
-            Some(h) => write_health(&mut o, h),
-        }
-        o.push('}');
-        o
+        .to_json()
     }
 
     /// Deserialize from JSON, **strictly**: any quarantined record fails
@@ -292,7 +270,9 @@ impl CampaignExport {
     /// unparseable document, a missing/broken required section, or a
     /// format version newer than this build supports.
     pub fn from_json_lenient(src: &str) -> Result<LoadedExport, String> {
-        let (root, records) = scan(src)?;
+        let mut r = Reader::new(src);
+        let scan = scan(src, &mut r)?;
+        let root = &scan.root;
         let vj = root
             .get("version")
             .ok_or_else(|| format!("campaign export has no \"version\" field ({})", root.at()))?;
@@ -307,9 +287,9 @@ impl CampaignExport {
             ));
         }
 
-        let config = parse_config(section(&root, "config")?)?;
+        let config = parse_config(section(root, "config")?)?;
 
-        let wj = section(&root, "window")?;
+        let wj = section(root, "window")?;
         let window = match wj.as_arr() {
             Some([s, e]) => match (s.as_i64(), e.as_i64()) {
                 (Some(s), Some(e)) if s >= 0 && e >= s => Interval {
@@ -321,38 +301,20 @@ impl CampaignExport {
             _ => return Err(format!("\"window\" must be [start_ms,end_ms] {}", wj.at())),
         };
 
-        let mut q = QuarantineReport::default();
-
-        // Symbol table: rebuilt by interning in file order so every Sym id
-        // in the records resolves to the same string it was written under.
-        let sj = section(&root, "symbols")?;
-        let sym_arr = sj
-            .as_arr()
-            .ok_or_else(|| format!("\"symbols\" must be an array {}", sj.at()))?;
-        let mut symbols = SymbolTable::new();
-        symbols.reserve(sym_arr.len());
-        for (i, el) in sym_arr.iter().enumerate() {
-            let s = el
-                .as_str()
-                .ok_or_else(|| format!("symbol {i} is not a string {}", el.at()))?;
-            if i == 0 {
-                if s != "UNKNOWN" {
-                    return Err(format!(
-                        "symbol 0 must be the UNKNOWN sentinel, found {s:?} {}",
-                        el.at()
-                    ));
-                }
-                continue; // already interned by SymbolTable::new()
+        // The scan interned `symbols` in file order, so every Sym id in
+        // the records resolves to the string it was written under.
+        let symbols = match scan.symbols {
+            Some(streamed) => streamed?,
+            None => {
+                let sj = section(root, "symbols")?;
+                return Err(format!("\"symbols\" must be an array {}", sj.at()));
             }
-            let sym = symbols.intern(s);
-            if sym.0 as usize != i {
-                return Err(format!("duplicate symbol {s:?} {}", el.at()));
-            }
-        }
+        };
         let n_syms = symbols.len() as u32;
 
+        let mut q = QuarantineReport::default();
         let mut valid_sites: HashSet<Sym> = HashSet::new();
-        let vj = section(&root, "valid_sites")?;
+        let vj = section(root, "valid_sites")?;
         let site_arr = vj
             .as_arr()
             .ok_or_else(|| format!("\"valid_sites\" must be an array {}", vj.at()))?;
@@ -373,18 +335,9 @@ impl CampaignExport {
             }
         }
 
-        // Pass 2: decode the record arrays pass 1 validated.
-        let mut r = Reader::new(src);
-        let [jobs_at, files_at, transfers_at] = records;
-        let jobs = load_records(&mut r, &root, "jobs", jobs_at, 13, &mut q, |a| {
-            decode_job(a, n_syms)
-        })?;
-        let files = load_records(&mut r, &root, "files", files_at, 8, &mut q, |a| {
-            decode_file(a, n_syms)
-        })?;
-        let transfers = load_records(&mut r, &root, "transfers", transfers_at, 20, &mut q, |a| {
-            decode_transfer(a, n_syms)
-        })?;
+        let jobs = scan.jobs.finish(&mut r, root, n_syms, &mut q)?;
+        let files = scan.files.finish(&mut r, root, n_syms, &mut q)?;
+        let transfers = scan.transfers.finish(&mut r, root, n_syms, &mut q)?;
 
         let path_stats = match root.get("path_stats") {
             None => TransferPathStats::default(),
@@ -433,22 +386,23 @@ impl CampaignExport {
     }
 }
 
-/// The top-level keys whose arrays pass 1 skips and pass 2 decodes.
-const RECORD_SECTIONS: [&str; 3] = ["jobs", "files", "transfers"];
-
-/// Where a record array starts in the source, and how many records it
-/// holds.
-#[derive(Clone, Copy)]
-struct RecordRange {
-    start: usize,
-    len: usize,
+/// What the one pass over an export leaves for the semantic checks.
+struct Scan {
+    /// The top-level object without the members that were streamed.
+    root: Json,
+    /// The `symbols` array as streamed into a table, or the first error
+    /// found in it; `None` when `symbols` is missing or not an array.
+    symbols: Option<Result<SymbolTable, String>>,
+    jobs: Records<JobRecord>,
+    files: Records<FileRecord>,
+    transfers: Records<TransferRecord>,
 }
 
-/// Pass 1: validate the whole document exactly as [`json::parse`] would,
-/// build every top-level section as a tree except the record arrays, and
-/// keep where those start. Sections may come in any order.
-fn scan(src: &str) -> Result<(Json, [Option<RecordRange>; 3]), String> {
-    let mut r = Reader::new(src);
+/// Walk the whole document once, validating it exactly as
+/// [`json::parse`] would. Sections may come in any order. Semantic
+/// errors are kept for [`CampaignExport::from_json_lenient`] to report
+/// in its fixed order, so a syntax error anywhere wins.
+fn scan(src: &str, r: &mut Reader) -> Result<Scan, String> {
     r.skip_ws();
     if r.peek() != Some(b'{') {
         // Not an object: the tree parser tells a syntax error from a
@@ -461,30 +415,38 @@ fn scan(src: &str) -> Result<(Json, [Option<RecordRange>; 3]), String> {
     }
     let (line, col) = r.line_col(r.pos());
     let mut fields = Vec::new();
-    let mut records = [None; 3];
+    let mut symbols: Option<Result<SymbolTable, String>> = None;
+    let (mut jobs, mut files, mut transfers) = (Records::Absent, Records::Absent, Records::Absent);
     r.each_field(|r, key| {
-        match RECORD_SECTIONS.iter().position(|s| *s == key) {
-            Some(k) if r.peek() == Some(b'[') => {
-                let start = r.pos();
-                let mut len = 0;
-                r.each_item(|r| {
-                    len += 1;
-                    r.skip()
-                })?;
-                records[k] = Some(RecordRange { start, len });
-            }
+        // Records are decoded inline once a clean symbol table bounds
+        // their symbol ids.
+        let n_syms = match &symbols {
+            Some(Ok(table)) => Some(table.len() as u32),
+            _ => None,
+        };
+        let array = r.peek() == Some(b'[');
+        match &*key {
+            "symbols" if array => symbols = Some(stream_symbols(r)?),
+            "jobs" if array => jobs = Records::scan(r, n_syms)?,
+            "files" if array => files = Records::scan(r, n_syms)?,
+            "transfers" if array => transfers = Records::scan(r, n_syms)?,
             _ => fields.push((key.into_owned(), r.tree()?)),
         }
         Ok(())
     })
     .and_then(|()| r.finish())
     .map_err(parse_err)?;
-    let root = Json {
-        value: json::Value::Obj(fields),
-        line,
-        col,
-    };
-    Ok((root, records))
+    Ok(Scan {
+        root: Json {
+            value: json::Value::Obj(fields),
+            line,
+            col,
+        },
+        symbols,
+        jobs,
+        files,
+        transfers,
+    })
 }
 
 fn parse_err(e: impl std::fmt::Display) -> String {
@@ -496,27 +458,134 @@ fn section<'a>(root: &'a Json, key: &str) -> Result<&'a Json, String> {
         .ok_or_else(|| format!("campaign export has no {key:?} section ({})", root.at()))
 }
 
-/// Pass 2 over one record section: read each record's fields into a
-/// reused token buffer and `decode` them, quarantining failures.
-fn load_records<'a, T>(
-    r: &mut Reader<'a>,
-    root: &Json,
-    key: &str,
-    range: Option<RecordRange>,
-    arity: usize,
-    q: &mut QuarantineReport,
-    decode: impl Fn(&[Tok<'a>]) -> Result<T, RecErr>,
-) -> Result<Vec<T>, String> {
-    let Some(range) = range else {
-        // Pass 1 skipped every array under this key, so the section is
-        // missing or is not an array.
-        let sj = section(root, key)?;
-        return Err(format!("{key:?} must be an array {}", sj.at()));
-    };
-    let mut out = Vec::with_capacity(range.len);
-    let mut fields: Vec<Tok<'a>> = Vec::with_capacity(arity + 1);
+/// Intern the `symbols` array at the cursor, building no tree. The first
+/// semantic error is returned inside the `Ok`, with its position, and
+/// the rest of the array is only validated.
+fn stream_symbols(r: &mut Reader) -> json::PResult<Result<SymbolTable, String>> {
+    let mut table = SymbolTable::new();
+    let mut first_err = None;
     let mut i = 0usize;
-    r.seek(range.start, 1);
+    r.each_item(|r| {
+        let at = r.pos();
+        let tok = r.token()?;
+        if first_err.is_none() {
+            if let Err(what) = intern_symbol(&mut table, i, &tok) {
+                first_err = Some(format!("{what} {}", r.at(at)));
+            }
+        }
+        i += 1;
+        Ok(())
+    })?;
+    Ok(first_err.map_or(Ok(table), Err))
+}
+
+/// Intern symbol `i` of the `symbols` array.
+fn intern_symbol(table: &mut SymbolTable, i: usize, tok: &Tok) -> Result<(), String> {
+    let Some(s) = tok.as_str() else {
+        return Err(format!("symbol {i} is not a string"));
+    };
+    if i == 0 {
+        // `SymbolTable::new()` already holds the sentinel.
+        return match s {
+            "UNKNOWN" => Ok(()),
+            _ => Err(format!(
+                "symbol 0 must be the UNKNOWN sentinel, found {s:?}"
+            )),
+        };
+    }
+    match table.try_intern(s) {
+        Some(sym) if sym.0 as usize == i => Ok(()),
+        Some(_) => Err(format!("duplicate symbol {s:?}")),
+        None => Err(format!("symbol {i} does not fit: the table is full")),
+    }
+}
+
+/// A record type of the export: its section, its arity, and its decoder.
+trait Record: Sized {
+    const KEY: &'static str;
+    const ARITY: usize;
+    const DECODE: fn(&[Tok], u32) -> Result<Self, RecErr>;
+}
+
+impl Record for JobRecord {
+    const KEY: &'static str = "jobs";
+    const ARITY: usize = 13;
+    const DECODE: fn(&[Tok], u32) -> Result<Self, RecErr> = decode_job;
+}
+
+impl Record for FileRecord {
+    const KEY: &'static str = "files";
+    const ARITY: usize = 8;
+    const DECODE: fn(&[Tok], u32) -> Result<Self, RecErr> = decode_file;
+}
+
+impl Record for TransferRecord {
+    const KEY: &'static str = "transfers";
+    const ARITY: usize = 20;
+    const DECODE: fn(&[Tok], u32) -> Result<Self, RecErr> = decode_transfer;
+}
+
+/// A record section as the scan left it.
+enum Records<T> {
+    /// Missing, or not an array (the root tree then holds it).
+    Absent,
+    /// Decoded as the scan reached it, with its own quarantine report.
+    Decoded(Vec<T>, QuarantineReport),
+    /// Validated where it stands, at this byte offset; decoded once the
+    /// symbol table is known.
+    Deferred(usize),
+}
+
+impl<T: Record> Records<T> {
+    /// Take the array at the cursor: decode it now if `n_syms` is known,
+    /// else validate it and keep where it starts.
+    fn scan(r: &mut Reader, n_syms: Option<u32>) -> json::PResult<Self> {
+        match n_syms {
+            Some(n_syms) => {
+                decode_records(r, n_syms).map(|(records, q)| Records::Decoded(records, q))
+            }
+            None => {
+                let start = r.pos();
+                r.skip()?;
+                Ok(Records::Deferred(start))
+            }
+        }
+    }
+
+    /// The section's records, its quarantine report added to `q`.
+    fn finish(
+        self,
+        r: &mut Reader,
+        root: &Json,
+        n_syms: u32,
+        q: &mut QuarantineReport,
+    ) -> Result<Vec<T>, String> {
+        let (records, report) = match self {
+            Records::Decoded(records, report) => (records, report),
+            Records::Deferred(start) => {
+                r.seek(start, 1);
+                decode_records(r, n_syms).map_err(parse_err)?
+            }
+            Records::Absent => {
+                let sj = section(root, T::KEY)?;
+                return Err(format!("{:?} must be an array {}", T::KEY, sj.at()));
+            }
+        };
+        q.absorb(report);
+        Ok(records)
+    }
+}
+
+/// Decode the record array at the cursor: read each record's fields
+/// into a reused token buffer and decode them, quarantining failures.
+fn decode_records<'a, T: Record>(
+    r: &mut Reader<'a>,
+    n_syms: u32,
+) -> json::PResult<(Vec<T>, QuarantineReport)> {
+    let mut out = Vec::new();
+    let mut q = QuarantineReport::default();
+    let mut fields: Vec<Tok<'a>> = Vec::with_capacity(T::ARITY + 1);
+    let mut i = 0usize;
     r.each_item(|r| {
         let at = r.pos();
         fields.clear();
@@ -525,20 +594,123 @@ fn load_records<'a, T>(
                 fields.push(r.token()?);
                 Ok(())
             })?;
-            rec_arity(&fields, arity).and_then(|()| decode(&fields))
+            rec_arity(&fields, T::ARITY).and_then(|()| T::DECODE(&fields, n_syms))
         } else {
             r.skip()?;
             Err((Kind::Malformed, "record is not an array".to_string()))
         };
         match decoded {
             Ok(v) => out.push(v),
-            Err((kind, what)) => q.note(kind, || format!("{key}[{i}] {}: {what}", r.at(at))),
+            Err((kind, what)) => q.note(kind, || format!("{}[{i}] {}: {what}", T::KEY, r.at(at))),
         }
         i += 1;
         Ok(())
-    })
-    .map_err(parse_err)?;
-    Ok(out)
+    })?;
+    Ok((out, q))
+}
+
+/// The borrowed parts an export is written from, so a live [`Campaign`]
+/// is written without copying its store.
+struct ExportParts<'a> {
+    version: u32,
+    config: &'a ScenarioConfig,
+    window: Interval,
+    store: &'a MetaStore,
+    path_stats: &'a TransferPathStats,
+    health: Option<&'a HealthSummary>,
+}
+
+impl ExportParts<'_> {
+    fn to_json(&self) -> String {
+        let store = self.store;
+        let mut o = String::with_capacity(self.size_hint());
+        o.push_str("{\"version\":");
+        push_u64(&mut o, self.version.into());
+        o.push_str(",\"config\":");
+        write_config(&mut o, self.config);
+        o.push_str(",\"window\":[");
+        push_time(&mut o, self.window.start);
+        o.push(',');
+        push_time(&mut o, self.window.end);
+        o.push_str("],\"symbols\":[");
+        for (i, s) in store.symbols.iter().enumerate() {
+            if i > 0 {
+                o.push(',');
+            }
+            json::push_str_lit(&mut o, s);
+        }
+        o.push_str("],\"valid_sites\":[");
+        let mut sites: Vec<u32> = store.valid_sites.iter().map(|s| s.0).collect();
+        sites.sort_unstable();
+        for (i, s) in sites.iter().enumerate() {
+            if i > 0 {
+                o.push(',');
+            }
+            push_u64(&mut o, (*s).into());
+        }
+        o.push_str("],\"jobs\":[");
+        for (i, j) in store.jobs.iter().enumerate() {
+            if i > 0 {
+                o.push(',');
+            }
+            write_job(&mut o, j);
+        }
+        o.push_str("],\"files\":[");
+        for (i, f) in store.files.iter().enumerate() {
+            if i > 0 {
+                o.push(',');
+            }
+            write_file(&mut o, f);
+        }
+        o.push_str("],\"transfers\":[");
+        for (i, t) in store.transfers.iter().enumerate() {
+            if i > 0 {
+                o.push(',');
+            }
+            write_transfer(&mut o, t);
+        }
+        o.push_str("],\"path_stats\":[");
+        let p = self.path_stats;
+        for (i, v) in [
+            p.requests,
+            p.delivered,
+            p.delivered_after_retry,
+            p.failed_attempts,
+            p.exhausted,
+            p.no_replica,
+        ]
+        .iter()
+        .enumerate()
+        {
+            if i > 0 {
+                o.push(',');
+            }
+            push_u64(&mut o, *v);
+        }
+        o.push_str("],\"health\":");
+        match self.health {
+            None => o.push_str("null"),
+            Some(h) => write_health(&mut o, h),
+        }
+        o.push('}');
+        o
+    }
+
+    /// Bytes to reserve for the document, so writing it does not grow
+    /// the buffer: the symbols' own bytes plus quotes and a comma each,
+    /// and per record the widest it is in practice. Reserved pages that
+    /// are never written are never touched.
+    fn size_hint(&self) -> usize {
+        let s = self.store;
+        let episodes = self.health.map_or(0, |h| h.episodes.len());
+        4096 + s.symbols.bytes_len()
+            + 3 * s.symbols.len()
+            + 11 * s.valid_sites.len()
+            + JOB_BYTES * s.jobs.len()
+            + FILE_BYTES * s.files.len()
+            + TRANSFER_BYTES * s.transfers.len()
+            + 64 * episodes
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -587,11 +587,7 @@ impl<'a> Reader<'a> {
     /// End of the run of plain string bytes starting at `from`: the next
     /// quote, backslash or control byte (or the end of the source).
     fn plain_run(&self, from: usize) -> usize {
-        let rest = &self.src.as_bytes()[from..];
-        from + rest
-            .iter()
-            .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
-            .unwrap_or(rest.len())
+        from + plain_len(&self.src.as_bytes()[from..])
     }
 
     /// A string literal: borrowed from the source unless it holds an
@@ -689,6 +685,30 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Bytes before the first quote, backslash or control byte in `s` (all
+/// of `s` if it has none): the run a string literal holds verbatim.
+/// Whole 8-byte words are tested at once, and a word holding a byte that
+/// needs a look is then searched byte by byte.
+fn plain_len(s: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    // Non-zero iff some byte of `w` is below `n` (exact for `n <= 0x80`).
+    let any_below = |w: u64, n: u64| w.wrapping_sub(ONES * n) & !w & HIGH != 0;
+    let mut at = 0;
+    for word in s.chunks_exact(8) {
+        let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        if any_below(w, 0x20) || any_below(w ^ (ONES * 0x22), 1) || any_below(w ^ (ONES * 0x5c), 1)
+        {
+            break;
+        }
+        at += 8;
+    }
+    at + s[at..]
+        .iter()
+        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+        .unwrap_or(s.len() - at)
+}
+
 // ---------------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------------
@@ -698,10 +718,11 @@ impl<'a> Reader<'a> {
 pub fn push_str_lit(out: &mut String, s: &str) {
     out.push('"');
     let mut rest = s;
-    while let Some(i) = rest
-        .bytes()
-        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
-    {
+    loop {
+        let i = plain_len(rest.as_bytes());
+        if i == rest.len() {
+            break;
+        }
         out.push_str(&rest[..i]);
         match rest.as_bytes()[i] {
             b'"' => out.push_str("\\\""),
@@ -731,31 +752,41 @@ pub fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Append an unsigned integer in decimal, formatted in place two digits
-/// at a time.
-pub fn push_u64(out: &mut String, mut v: u64) {
-    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
-        2021222324252627282930313233343536373839\
-        4041424344454647484950515253545556575859\
-        6061626364656667686970717273747576777879\
-        8081828384858687888990919293949596979899";
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    while v >= 100 {
-        let pair = (v % 100) as usize * 2;
-        v /= 100;
-        i -= 2;
-        buf[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+/// Every two-digit decimal, `"00"` to `"99"`, back to back.
+const DIGIT_PAIRS: &str = "0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// The decimal digits of `v < 100`, without a leading zero.
+fn small_digits(v: u64) -> &'static str {
+    let at = v as usize * 2;
+    &DIGIT_PAIRS[at + usize::from(v < 10)..at + 2]
+}
+
+/// Append an unsigned integer in decimal. Digits go out two at a time
+/// as slices of a static table, most significant first, so no number is
+/// formatted through `fmt` or checked as UTF-8.
+pub fn push_u64(out: &mut String, v: u64) {
+    if v < 100 {
+        out.push_str(small_digits(v));
+        return;
     }
-    if v >= 10 {
-        let pair = v as usize * 2;
-        i -= 2;
-        buf[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
-    } else {
-        i -= 1;
-        buf[i] = b'0' + v as u8;
+    // Base-100 digits, least significant first; `u64::MAX` has ten.
+    let mut pairs = [0u8; 10];
+    let mut n = 0;
+    let mut rest = v;
+    while rest >= 100 {
+        pairs[n] = (rest % 100) as u8;
+        rest /= 100;
+        n += 1;
     }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
+    out.push_str(small_digits(rest));
+    for &p in pairs[..n].iter().rev() {
+        let at = usize::from(p) * 2;
+        out.push_str(&DIGIT_PAIRS[at..at + 2]);
+    }
 }
 
 /// Append a signed integer in decimal, formatted in place.
@@ -890,19 +921,63 @@ mod tests {
 
     #[test]
     fn integers_write_in_place() {
+        // 0, every power of ten and its neighbours, and the extremes.
         let edges = (0..20).flat_map(|e| {
             let p = 10u64.pow(e);
             [p - 1, p, p + 1, p.saturating_mul(3).saturating_add(7)]
         });
-        for v in edges.chain([12_345, 6_583_000_000, u64::MAX]) {
+        for v in edges.chain([12_345, 6_583_000_000, u64::MAX - 1, u64::MAX]) {
             let mut s = String::from("x");
             push_u64(&mut s, v);
             assert_eq!(s, format!("x{v}"));
         }
-        for v in [0i64, -1, 42, i64::MIN, i64::MAX] {
+        let signed_edges = (0..19).flat_map(|e| {
+            let p = 10i64.pow(e);
+            [p - 1, p, p + 1, -p - 1, -p, -p + 1]
+        });
+        for v in signed_edges.chain([0, -1, 42, i64::MIN, i64::MIN + 1, i64::MAX]) {
             let mut s = String::new();
             push_i64(&mut s, v);
             assert_eq!(s, v.to_string());
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn integers_write_like_to_string(u in proptest::prelude::any::<u64>(), i in proptest::prelude::any::<i64>(), shift in 0u32..64) {
+            // Shifting spreads the draws over every digit count.
+            for v in [u, u >> shift] {
+                let mut s = String::new();
+                push_u64(&mut s, v);
+                proptest::prop_assert_eq!(s, v.to_string());
+            }
+            for v in [i, i >> shift] {
+                let mut s = String::new();
+                push_i64(&mut s, v);
+                proptest::prop_assert_eq!(s, v.to_string());
+            }
+        }
+    }
+
+    #[test]
+    fn plain_runs_stop_at_the_first_byte_that_needs_a_look() {
+        let naive = |s: &[u8]| {
+            s.iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(s.len())
+        };
+        // Every byte value at every offset of a run of plain bytes that
+        // spans several words, behind bytes on either side of the stops.
+        for len in [0, 1, 7, 8, 9, 23] {
+            for at in 0..len {
+                for b in 0..=255u8 {
+                    let mut s: Vec<u8> = (0..len)
+                        .map(|i| [b'a', 0x21, 0x23, 0x5b, 0x5d, 0xc3, 0x7f][i % 7])
+                        .collect();
+                    s[at] = b;
+                    assert_eq!(plain_len(&s), naive(&s), "byte {b:#x} at {at} of {len}");
+                }
+            }
         }
     }
 

@@ -15,6 +15,7 @@ use dmsa_core::{
     PreparedMatcher, PreparedStore, ScoredMatcher,
 };
 use dmsa_gridnet::HealthConfig;
+use dmsa_metastore::MetaStore;
 use dmsa_scenario::{Campaign, ScenarioConfig};
 use dmsa_simcore::{SimDuration, SimTime};
 use std::fmt::Write as _;
@@ -282,7 +283,7 @@ pub fn simulate(
             campaign
         }
     };
-    Ok(CampaignExport::from_campaign(&campaign).to_json())
+    Ok(CampaignExport::campaign_json(&campaign))
 }
 
 /// Run a scenario under the checkpoint policy. With no checkpoint dir this
@@ -548,6 +549,9 @@ pub fn analyze(
     }
     let export = loaded.export;
     let matches: Option<MatchSet> = matches_json.map(matchset_from_json).transpose()?;
+    if let Some(set) = &matches {
+        check_match_indices(set, &export.store)?;
+    }
     let baseline: Option<ExclusionReport> = baseline_json
         .map(|bj| {
             CampaignExport::from_json(bj)
@@ -568,6 +572,27 @@ pub fn analyze(
         Err(render::RenderError::Io(e)) => swallow_broken_pipe(Err(e)),
         Err(e) => Err(e.to_string()),
     }
+}
+
+/// A match set names jobs and transfers by their index in a store. One
+/// written for another campaign, or damaged, can point past this one's
+/// records: refuse it before any report indexes with it.
+fn check_match_indices(set: &MatchSet, store: &MetaStore) -> Result<(), String> {
+    let (n_jobs, n_transfers) = (store.jobs.len(), store.transfers.len());
+    for job in &set.jobs {
+        if job.job_idx as usize >= n_jobs {
+            return Err(format!(
+                "matches reference job index {}, but the campaign has {n_jobs} jobs",
+                job.job_idx
+            ));
+        }
+        if let Some(t) = job.transfers.iter().find(|&&t| t as usize >= n_transfers) {
+            return Err(format!(
+                "matches reference transfer index {t}, but the campaign has {n_transfers} transfers"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Borrow the report-relevant pieces of an export as [`ReportInputs`].
@@ -629,6 +654,52 @@ mod tests {
         c.initial_datasets = 20;
         let campaign = dmsa_scenario::run(&c);
         CampaignExport::from_campaign(&campaign).to_json()
+    }
+
+    #[test]
+    fn analyze_refuses_match_indices_past_the_store() {
+        let campaign = tiny_campaign_json();
+        let store = CampaignExport::from_json(&campaign).unwrap().store;
+        let (n_jobs, n_transfers) = (store.jobs.len(), store.transfers.len());
+        let last_job = n_jobs - 1;
+        for (matches, want) in [
+            (
+                "{\"method\":\"rm2\",\"jobs\":[[4000000000,[1,2]]]}".to_string(),
+                format!("matches reference job index 4000000000, but the campaign has {n_jobs} jobs"),
+            ),
+            (
+                format!("{{\"method\":\"rm2\",\"jobs\":[[0,[]],[{n_jobs},[]]]}}"),
+                format!("matches reference job index {n_jobs}, but the campaign has {n_jobs} jobs"),
+            ),
+            (
+                format!("{{\"method\":\"rm1\",\"jobs\":[[{last_job},[0,{n_transfers}]]]}}"),
+                format!(
+                    "matches reference transfer index {n_transfers}, but the campaign has {n_transfers} transfers"
+                ),
+            ),
+        ] {
+            for report in render::REPORT_NAMES {
+                let mut out = Vec::new();
+                let err = analyze(&campaign, Some(&matches), None, report, false, &mut out)
+                    .expect_err(report);
+                assert_eq!(err, want, "{report}");
+                assert!(out.is_empty(), "{report} wrote before refusing");
+            }
+        }
+        // The last valid indices are accepted.
+        let edge = format!(
+            "{{\"method\":\"rm2\",\"jobs\":[[{last_job},[{}]]]}}",
+            n_transfers - 1
+        );
+        analyze(
+            &campaign,
+            Some(&edge),
+            None,
+            "summary",
+            false,
+            &mut Vec::new(),
+        )
+        .unwrap();
     }
 
     #[test]

@@ -748,10 +748,9 @@ fn attempt_cell(
         campaign.health.as_ref(),
     );
     let export = if opts.write_cell_exports {
-        let export = CampaignExport::from_campaign(&campaign);
         let name = export_file_name(&cell.label);
         let path = opts.out_dir.join(&name);
-        let bytes = export.to_json();
+        let bytes = CampaignExport::campaign_json(&campaign);
         let mut note = |line: String| eprintln!("{line}");
         vfs::with_retry(&opts.retry, "cell export write", &mut note, || {
             write_atomic_via(io, &path, bytes.as_bytes()).map_err(|e| e.to_string())

@@ -320,3 +320,125 @@ fn every_field_of_the_first_records_nested_loads_like_the_reference_loader() {
         }
     }
 }
+
+/// Records that each quarantine, under every kind, per record section.
+const BAD_RECORDS: [(&str, [&str; 3]); 3] = [
+    (
+        "jobs",
+        [
+            "[1,2,3]",
+            "[1,1,999999,0,0,1,0,0,\"stage_in\",\"finished\",\"done\",null,true]",
+            "[1,1,0,0,0,1,0,0,\"stage_in\",\"finish\u{FFFD}d\",\"done\",null,true]",
+        ],
+    ),
+    (
+        "files",
+        [
+            "7",
+            "[1,2,3,4,5,6,7,\"sideways\"]",
+            "[1,2,3,4,5,6,7,\"input\",8]",
+        ],
+    ),
+    (
+        "transfers",
+        [
+            "[1,0,0,0,0,10,500,100,0,0,\"analysis_upload\",null,false,true,1,true,null,0,0,10]",
+            "[1,0,0,0,0,10,100,500,0,0,\"quantum\",null,false,true,1,true,null,0,0,10]",
+            "{\"a\":1}",
+        ],
+    ),
+];
+
+/// Rebuild `doc` with its top-level members in the order `keys` gives
+/// (members not named keep their place after them), putting `n_bad`
+/// quarantining records at the head of each record section and of
+/// `valid_sites`.
+fn reordered_and_damaged(doc: &str, keys: &[&str], n_bad: usize) -> String {
+    let mut members: Vec<String> = top_level_members(doc)
+        .into_iter()
+        .map(str::to_string)
+        .collect();
+    for m in &mut members {
+        let bad: Vec<&str> = if m.starts_with("\"valid_sites\":[") {
+            vec!["999999", "\"x\"", "-1"]
+        } else {
+            match BAD_RECORDS
+                .iter()
+                .find(|(k, _)| m.starts_with(&format!("\"{k}\":[")))
+            {
+                Some((_, records)) => records.to_vec(),
+                None => continue,
+            }
+        };
+        let at = m.find('[').unwrap() + 1;
+        let sep = if m[at..].starts_with(']') { "" } else { "," };
+        let head = bad
+            .iter()
+            .cycle()
+            .take(n_bad)
+            .copied()
+            .collect::<Vec<_>>()
+            .join(",");
+        if !head.is_empty() {
+            m.insert_str(at, &format!("{head}{sep}"));
+        }
+    }
+    let rank = |m: &String| {
+        keys.iter()
+            .position(|k| m.starts_with(&format!("\"{k}\":")))
+            .unwrap_or(keys.len())
+    };
+    members.sort_by_key(rank);
+    format!("{{{}}}", members.join(","))
+}
+
+#[test]
+fn record_sections_before_symbols_load_like_the_reference_loader() {
+    // Sections before `symbols` are decoded after the scan, the rest as
+    // the scan reaches them; quarantines in both, more than eight in
+    // all, must merge into the reference loader's counts and examples.
+    for doc in base_exports() {
+        for keys in [
+            &["files", "version", "config", "window", "symbols"][..],
+            &["transfers", "jobs", "symbols"],
+            &["jobs", "files", "transfers", "valid_sites", "symbols"],
+            &["health", "symbols", "transfers", "valid_sites"],
+        ] {
+            for n_bad in [0, 1, 3, 5] {
+                let damaged = reordered_and_damaged(doc, keys, n_bad);
+                agrees_with_oracle(&damaged).unwrap();
+                if n_bad == 3 {
+                    let q = CampaignExport::from_json_lenient(&damaged)
+                        .unwrap()
+                        .quarantine;
+                    assert_eq!(q.total(), 12, "{q:?}");
+                    assert_eq!(q.examples.len(), 8);
+                    assert!(q.examples[0].starts_with("valid_sites[0]"), "{q:?}");
+                    assert!(q.examples[3].starts_with("jobs[0]"), "{q:?}");
+                    assert!(q.examples[6].starts_with("files[0]"), "{q:?}");
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn any_section_order_with_damage_loads_like_the_reference_loader(
+        which in 0usize..2,
+        swaps in prop::collection::vec((any::<usize>(), any::<usize>()), 0..8),
+        n_bad in 0usize..6,
+    ) {
+        let mut keys = vec![
+            "version", "config", "window", "symbols", "valid_sites", "jobs", "files",
+            "transfers", "path_stats", "health",
+        ];
+        for (a, b) in swaps {
+            let n = keys.len();
+            keys.swap(a % n, b % n);
+        }
+        agrees_with_oracle(&reordered_and_damaged(&base_exports()[which], &keys, n_bad))?;
+    }
+}

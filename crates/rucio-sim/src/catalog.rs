@@ -109,18 +109,20 @@ impl ReplicaCatalog {
         registered: SimTime,
     ) -> DatasetId {
         let ds_id = DatasetId(self.datasets.len() as u64);
-        let name_did = did::dataset_name(scope, task_seq, stream);
-        let name = self.names.intern(&name_did.0);
-        let prod_dblock = self
-            .names
-            .intern(&did::prod_dblock(&name_did, (task_seq % 7) as u32).0);
+        // Every name is written into one buffer and interned from it, so
+        // a name costs no allocation of its own.
+        let mut buf = String::with_capacity(96);
+        did::push_dataset_name(&mut buf, scope, task_seq, stream);
+        let name = self.names.intern(&buf);
+        did::push_prod_dblock_suffix(&mut buf, (task_seq % 7) as u32);
+        let prod_dblock = self.names.intern(&buf);
         let mut files = Vec::with_capacity(file_sizes.len());
         let mut total = 0u64;
         for (i, &size) in file_sizes.iter().enumerate() {
             let fid = FileId(self.files.len() as u64);
-            let lfn = self
-                .names
-                .intern(&did::file_lfn(scope, task_seq, i as u32).0);
+            buf.clear();
+            did::push_file_lfn(&mut buf, scope, task_seq, i as u32);
+            let lfn = self.names.intern(&buf);
             self.files.push(FileEntry {
                 id: fid,
                 lfn,

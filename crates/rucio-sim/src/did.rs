@@ -8,7 +8,7 @@
 //! production joins (hash collisions, interning pressure, etc.).
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A Rucio scope, e.g. `user.alice` or `mc23_13p6TeV`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -44,25 +44,27 @@ impl fmt::Display for DidName {
     }
 }
 
-/// Build a dataset name in the ATLAS style for a task.
-pub fn dataset_name(scope: Scope, task_seq: u64, stream: &str) -> DidName {
-    DidName(format!(
+/// Append a dataset name in the ATLAS style for a task to `out`.
+pub fn push_dataset_name(out: &mut String, scope: Scope, task_seq: u64, stream: &str) {
+    let _ = write!(
+        out,
         "{scope}.{task_seq:08}.{stream}.DAOD_PHYS.e8514_s4159_r15224"
-    ))
+    );
 }
 
-/// Build a file LFN within a dataset.
-pub fn file_lfn(scope: Scope, task_seq: u64, file_seq: u32) -> DidName {
-    DidName(format!(
+/// Append a file LFN within a dataset to `out`.
+pub fn push_file_lfn(out: &mut String, scope: Scope, task_seq: u64, file_seq: u32) {
+    let _ = write!(
+        out,
         "{scope}.{task_seq:08}.DAOD_PHYS._{file_seq:06}.pool.root.1"
-    ))
+    );
 }
 
-/// Build the production data-block ("proddblock") name for a dataset
-/// sub-block. PanDA's file table records this block-level identifier and
-/// Algorithm 1 joins on it.
-pub fn prod_dblock(dataset: &DidName, sub: u32) -> DidName {
-    DidName(format!("{dataset}_sub{sub:04}"))
+/// Append the production data-block ("proddblock") suffix of sub-block
+/// `sub` to `out`, which holds the dataset's name. PanDA's file table
+/// records this block-level identifier and Algorithm 1 joins on it.
+pub fn push_prod_dblock_suffix(out: &mut String, sub: u32) {
+    let _ = write!(out, "_sub{sub:04}");
 }
 
 #[cfg(test)]
@@ -77,16 +79,26 @@ mod tests {
         assert_eq!(Scope::GroupPhys.to_string(), "group.phys-higgs");
     }
 
+    fn file_lfn(scope: Scope, task_seq: u64, file_seq: u32) -> String {
+        let mut s = String::new();
+        push_file_lfn(&mut s, scope, task_seq, file_seq);
+        s
+    }
+
     #[test]
     fn names_embed_identifiers() {
-        let ds = dataset_name(Scope::User(3), 42, "higgs");
-        assert!(ds.0.contains("user.u0003"));
-        assert!(ds.0.contains("00000042"));
-        let f = file_lfn(Scope::User(3), 42, 5);
-        assert!(f.0.contains("_000005"));
-        let b = prod_dblock(&ds, 2);
-        assert!(b.0.ends_with("_sub0002"));
-        assert!(b.0.starts_with(&ds.0));
+        let mut ds = String::new();
+        push_dataset_name(&mut ds, Scope::User(3), 42, "higgs");
+        assert_eq!(ds, "user.u0003.00000042.higgs.DAOD_PHYS.e8514_s4159_r15224");
+        push_prod_dblock_suffix(&mut ds, 2);
+        assert_eq!(
+            ds,
+            "user.u0003.00000042.higgs.DAOD_PHYS.e8514_s4159_r15224_sub0002"
+        );
+        assert_eq!(
+            file_lfn(Scope::McProd, 123_456_789, 5),
+            "mc23_13p6TeV.123456789.DAOD_PHYS._000005.pool.root.1"
+        );
     }
 
     #[test]

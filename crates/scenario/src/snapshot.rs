@@ -979,17 +979,20 @@ fn get_catalog(r: &mut Reader<'_>) -> Result<ReplicaCatalog, CodecError> {
 /// order (index 0 is always the `UNKNOWN` sentinel a fresh table holds).
 fn put_symbol_table(w: &mut Writer, t: &SymbolTable) {
     w.put_seq_len(t.len());
-    for i in 0..t.len() as u32 {
-        w.put_str(t.resolve(Sym(i)));
+    for s in t.iter() {
+        w.put_str(s);
     }
 }
 
 fn get_symbol_table(r: &mut Reader<'_>) -> Result<SymbolTable, CodecError> {
     let n = r.get_seq_len(8)?;
     let mut t = SymbolTable::new();
+    t.reserve(n);
     for i in 0..n {
         let s = r.get_str()?;
-        let sym = t.intern(&s);
+        let sym = t
+            .try_intern(&s)
+            .ok_or_else(|| bad(r, format!("symbol table entry {i} does not fit")))?;
         if sym.0 as usize != i {
             return Err(bad(
                 r,
