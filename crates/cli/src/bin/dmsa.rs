@@ -12,6 +12,7 @@
 //! dmsa compare  --campaign campaign.json
 //! ```
 
+use dmsa_analysis::render::{RenderError, REPORT_NAMES};
 use dmsa_cli::atomic::{write_atomic, write_atomic_via};
 use dmsa_cli::run::{
     analyze, compare_methods, parse_sim_duration, preset_config, run_match, simulate,
@@ -36,12 +37,39 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match dispatch(&args) {
         Ok(code) => code,
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::from(2)
         }
+        Err(Failure::Runtime(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(1)
+        }
+    }
+}
+
+/// Why a command failed, which sets its exit code. A usage error (a
+/// missing or unknown flag, an unparseable or out-of-range value) exits
+/// 2 and reprints the usage text; anything that goes wrong once the
+/// arguments are good (unreadable, damaged or refused input, a failed
+/// run or write) exits 1 with the error line alone. `?` on a `String`
+/// error means a usage error; runtime errors are wrapped explicitly.
+enum Failure {
+    Usage(String),
+    Runtime(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Usage(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Usage(msg.to_string())
     }
 }
 
@@ -71,7 +99,8 @@ const USAGE: &str = "usage:
                 (offline artifact audit: checkpoint frames, sweep
                  journals, campaign exports, sweep summaries/ops)
 
-  exit codes: 0 = success            2 = usage error
+  exit codes: 0 = success            1 = runtime or data error
+              2 = usage error
               3 = partial sweep (some cells quarantined; summary valid)
               4 = verify found corruption
   dmsa match    --campaign FILE --method exact|rm1|rm2|scored[:T]
@@ -138,7 +167,7 @@ fn read_lossy(path: &str) -> Result<String, String> {
         .map_err(|e| format!("reading {path}: {e}"))
 }
 
-fn dispatch(args: &[String]) -> Result<ExitCode, String> {
+fn dispatch(args: &[String]) -> Result<ExitCode, Failure> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err("no subcommand".into());
     };
@@ -149,8 +178,8 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
             .first()
             .filter(|d| !d.starts_with("--"))
             .ok_or("verify needs a directory or file (dmsa verify DIR|FILE)")?;
-        let outcome = verify::verify_dir(Path::new(dir))?;
-        print_stdout(&outcome.to_string())?;
+        let outcome = verify::verify_dir(Path::new(dir)).map_err(Failure::Runtime)?;
+        print_stdout(&outcome.to_string()).map_err(Failure::Runtime)?;
         return Ok(if outcome.clean() {
             ExitCode::SUCCESS
         } else {
@@ -160,19 +189,19 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
         });
     }
     let f = flags(rest)?;
-    let read = |key: &str| -> Result<String, String> {
+    let read = |key: &str| -> Result<String, Failure> {
         let path = f.get(key).ok_or_else(|| format!("--{key} is required"))?;
-        read_lossy(path)
+        read_lossy(path).map_err(Failure::Runtime)
     };
-    let write_or_print = |key: &str, content: &str| -> Result<(), String> {
+    let write_or_print = |key: &str, content: &str| -> Result<(), Failure> {
         match f.get(key) {
             Some(path) => {
                 write_atomic(Path::new(path), content.as_bytes())
-                    .map_err(|e| format!("writing {path}: {e}"))?;
+                    .map_err(|e| Failure::Runtime(format!("writing {path}: {e}")))?;
                 eprintln!("wrote {path} ({} bytes)", content.len());
                 Ok(())
             }
-            None => print_stdout(content),
+            None => print_stdout(content).map_err(Failure::Runtime),
         }
     };
 
@@ -241,7 +270,12 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                 .get("fork-at")
                 .map(|s| parse_sim_duration(s))
                 .transpose()?;
-            let json = simulate(preset, scale, seed, knobs, health, &ckpt, fork_at)?;
+            if fork_at.is_some() && ckpt.dir.is_some() {
+                return Err("--fork-at cannot be combined with --checkpoint-dir".into());
+            }
+            preset_config(preset, scale, seed)?;
+            let json = simulate(preset, scale, seed, knobs, health, &ckpt, fork_at)
+                .map_err(Failure::Runtime)?;
             match f.get("out") {
                 // Under a chaos drill the export write itself is a
                 // fault-injection target (with the retry ladder).
@@ -252,7 +286,7 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                         write_atomic_via(&*io, Path::new(path), json.as_bytes())
                             .map_err(|e| e.to_string())
                     })
-                    .map_err(|e| format!("writing {path}: {e}"))?;
+                    .map_err(|e| Failure::Runtime(format!("writing {path}: {e}")))?;
                     eprintln!("wrote {path} ({} bytes)", json.len());
                 }
                 _ => write_or_print("out", &json)?,
@@ -326,8 +360,9 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                     .transpose()?,
                 ..SweepOpts::default()
             };
-            let outcome = run_sweep(&grid, &opts)?;
-            print_stdout(&human_report(&outcome))?;
+            grid.expand()?;
+            let outcome = run_sweep(&grid, &opts).map_err(Failure::Runtime)?;
+            print_stdout(&human_report(&outcome)).map_err(Failure::Runtime)?;
             eprintln!(
                 "wrote {} cell exports + sweep_summary.json to {out_dir}",
                 outcome.cells.len() - outcome.n_failed()
@@ -342,19 +377,24 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
             let campaign = read("campaign")?;
             let method = MatcherChoice::parse(f.get("method").copied().unwrap_or("exact"))?;
             let engine = EngineChoice::parse(f.get("engine").copied().unwrap_or("prepared"))?;
-            let (json, stats) = run_match(&campaign, method, engine)?;
+            let (json, stats) = run_match(&campaign, method, engine).map_err(Failure::Runtime)?;
             eprintln!("{stats}");
             write_or_print("out", &json)?;
             Ok(ExitCode::SUCCESS)
         }
         "analyze" => {
+            let report = f.get("report").copied().unwrap_or("summary");
+            if !REPORT_NAMES.contains(&report) {
+                return Err(RenderError::UnknownReport(report.to_string())
+                    .to_string()
+                    .into());
+            }
             let campaign = read("campaign")?;
             let read_opt = |key: &str| -> Result<Option<String>, String> {
                 f.get(key).map(|path| read_lossy(path)).transpose()
             };
-            let matches = read_opt("matches")?;
-            let baseline = read_opt("baseline")?;
-            let report = f.get("report").copied().unwrap_or("summary");
+            let matches = read_opt("matches").map_err(Failure::Runtime)?;
+            let baseline = read_opt("baseline").map_err(Failure::Runtime)?;
             analyze(
                 &campaign,
                 matches.as_deref(),
@@ -362,12 +402,14 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                 report,
                 f.contains_key("quarantine-report"),
                 &mut std::io::stdout().lock(),
-            )?;
+            )
+            .map_err(Failure::Runtime)?;
             Ok(ExitCode::SUCCESS)
         }
         "compare" => {
             let campaign = read("campaign")?;
-            print_stdout(&compare_methods(&campaign)?)?;
+            print_stdout(&compare_methods(&campaign).map_err(Failure::Runtime)?)
+                .map_err(Failure::Runtime)?;
             Ok(ExitCode::SUCCESS)
         }
         "serve" => {
@@ -407,19 +449,21 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                     .parse()
                     .map_err(|e| format!("bad --max-quarantine-frac: {e}"))?;
             }
-            let json = read_lossy(campaign_path)?;
-            let initial = load_store_gen(&json, campaign_path, cfg.max_quarantine_frac)?;
+            let json = read_lossy(campaign_path).map_err(Failure::Runtime)?;
+            let initial = load_store_gen(&json, campaign_path, cfg.max_quarantine_frac)
+                .map_err(Failure::Runtime)?;
             drop(json);
 
             // Latch signals before the accept loop starts polling them.
             signals::install_termination_handler();
             signals::install_reload_handler();
 
-            let server = Server::start(cfg, initial, Some(PathBuf::from(campaign_path)))?;
+            let server = Server::start(cfg, initial, Some(PathBuf::from(campaign_path)))
+                .map_err(Failure::Runtime)?;
             let addr = server.local_addr();
             if let Some(port_file) = f.get("port-file") {
                 write_atomic(Path::new(port_file), addr.to_string().as_bytes())
-                    .map_err(|e| format!("writing {port_file}: {e}"))?;
+                    .map_err(|e| Failure::Runtime(format!("writing {port_file}: {e}")))?;
             }
             eprintln!("dmsa serve: listening on {addr} (campaign {campaign_path})");
             eprintln!("dmsa serve: SIGHUP reloads the campaign, SIGTERM drains and exits");
@@ -445,6 +489,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
             );
             Ok(ExitCode::SUCCESS)
         }
-        other => Err(format!("unknown subcommand {other:?}")),
+        other => Err(format!("unknown subcommand {other:?}").into()),
     }
 }

@@ -222,15 +222,7 @@ impl CampaignExport {
     /// copying its store: the same bytes as
     /// `CampaignExport::from_campaign(campaign).to_json()`.
     pub fn campaign_json(campaign: &Campaign) -> String {
-        ExportParts {
-            version: FORMAT_VERSION,
-            config: &campaign.config,
-            window: campaign.window,
-            store: &campaign.store,
-            path_stats: &campaign.path_stats,
-            health: campaign.health.as_ref(),
-        }
-        .to_json()
+        ExportParts::of_campaign(campaign).to_json()
     }
 
     /// Serialize to JSON. Deterministic: the same export always produces
@@ -611,7 +603,7 @@ fn decode_records<'a, T: Record>(
 
 /// The borrowed parts an export is written from, so a live [`Campaign`]
 /// is written without copying its store.
-struct ExportParts<'a> {
+pub(crate) struct ExportParts<'a> {
     version: u32,
     config: &'a ScenarioConfig,
     window: Interval,
@@ -620,24 +612,46 @@ struct ExportParts<'a> {
     health: Option<&'a HealthSummary>,
 }
 
-impl ExportParts<'_> {
+impl<'a> ExportParts<'a> {
+    /// The parts of a live campaign's export.
+    pub(crate) fn of_campaign(campaign: &'a Campaign) -> Self {
+        ExportParts {
+            version: FORMAT_VERSION,
+            config: &campaign.config,
+            window: campaign.window,
+            store: &campaign.store,
+            path_stats: &campaign.path_stats,
+            health: campaign.health.as_ref(),
+        }
+    }
+
     fn to_json(&self) -> String {
+        let mut o = String::new();
+        self.write_into(&mut o);
+        o
+    }
+
+    /// Render the document into `o`, replacing what it held. A caller
+    /// that renders many exports reuses one buffer, so its pages are
+    /// faulted in once rather than once per export.
+    pub(crate) fn write_into(&self, o: &mut String) {
         let store = self.store;
-        let mut o = String::with_capacity(self.size_hint());
+        o.clear();
+        o.reserve(self.size_hint());
         o.push_str("{\"version\":");
-        push_u64(&mut o, self.version.into());
+        push_u64(o, self.version.into());
         o.push_str(",\"config\":");
-        write_config(&mut o, self.config);
+        write_config(o, self.config);
         o.push_str(",\"window\":[");
-        push_time(&mut o, self.window.start);
+        push_time(o, self.window.start);
         o.push(',');
-        push_time(&mut o, self.window.end);
+        push_time(o, self.window.end);
         o.push_str("],\"symbols\":[");
         for (i, s) in store.symbols.iter().enumerate() {
             if i > 0 {
                 o.push(',');
             }
-            json::push_str_lit(&mut o, s);
+            json::push_str_lit(o, s);
         }
         o.push_str("],\"valid_sites\":[");
         let mut sites: Vec<u32> = store.valid_sites.iter().map(|s| s.0).collect();
@@ -646,28 +660,28 @@ impl ExportParts<'_> {
             if i > 0 {
                 o.push(',');
             }
-            push_u64(&mut o, (*s).into());
+            push_u64(o, (*s).into());
         }
         o.push_str("],\"jobs\":[");
         for (i, j) in store.jobs.iter().enumerate() {
             if i > 0 {
                 o.push(',');
             }
-            write_job(&mut o, j);
+            write_job(o, j);
         }
         o.push_str("],\"files\":[");
         for (i, f) in store.files.iter().enumerate() {
             if i > 0 {
                 o.push(',');
             }
-            write_file(&mut o, f);
+            write_file(o, f);
         }
         o.push_str("],\"transfers\":[");
         for (i, t) in store.transfers.iter().enumerate() {
             if i > 0 {
                 o.push(',');
             }
-            write_transfer(&mut o, t);
+            write_transfer(o, t);
         }
         o.push_str("],\"path_stats\":[");
         let p = self.path_stats;
@@ -685,15 +699,14 @@ impl ExportParts<'_> {
             if i > 0 {
                 o.push(',');
             }
-            push_u64(&mut o, *v);
+            push_u64(o, *v);
         }
         o.push_str("],\"health\":");
         match self.health {
             None => o.push_str("null"),
-            Some(h) => write_health(&mut o, h),
+            Some(h) => write_health(o, h),
         }
         o.push('}');
-        o
     }
 
     /// Bytes to reserve for the document, so writing it does not grow

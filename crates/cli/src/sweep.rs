@@ -41,7 +41,7 @@
 //!   partial success); the rest of the fleet completes.
 
 use crate::atomic::write_atomic_via;
-use crate::export::CampaignExport;
+use crate::export::ExportParts;
 use crate::journal::{self, SweepJournal};
 use crate::verify::{self, FileVerdict};
 use crate::vfs::{self, ChaosProfile, IoBackend, IoRetryPolicy, RealBackend};
@@ -52,6 +52,7 @@ use dmsa_scenario::{BreakerSetting, Campaign, CancelToken, GridCell, SharedPrefi
 use dmsa_simcore::codec::crc32;
 use dmsa_simcore::stats::Summary;
 use dmsa_simcore::{SimDuration, SimTime};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -748,23 +749,42 @@ fn attempt_cell(
         campaign.health.as_ref(),
     );
     let export = if opts.write_cell_exports {
-        let name = export_file_name(&cell.label);
-        let path = opts.out_dir.join(&name);
-        let bytes = CampaignExport::campaign_json(&campaign);
-        let mut note = |line: String| eprintln!("{line}");
-        vfs::with_retry(&opts.retry, "cell export write", &mut note, || {
-            write_atomic_via(io, &path, bytes.as_bytes()).map_err(|e| e.to_string())
-        })
-        .map_err(|e| format!("storage: writing {}: {e}", path.display()))?;
-        Some(ExportStamp {
-            name,
-            crc: crc32(bytes.as_bytes()),
-            len: bytes.len() as u64,
-        })
+        Some(EXPORT_BUF.with_borrow_mut(|buf| write_cell_export(cell, &campaign, buf, opts, io))?)
     } else {
         None
     };
     Ok((metrics, export))
+}
+
+thread_local! {
+    /// The export buffer of this worker thread: each cell renders into
+    /// it and the next cell reuses its pages.
+    static EXPORT_BUF: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// Render a cell's export into `buf`, publish it with one atomic write
+/// and stamp it.
+fn write_cell_export(
+    cell: &GridCell,
+    campaign: &Campaign,
+    buf: &mut String,
+    opts: &SweepOpts,
+    io: &dyn IoBackend,
+) -> Result<ExportStamp, String> {
+    let name = export_file_name(&cell.label);
+    let path = opts.out_dir.join(&name);
+    ExportParts::of_campaign(campaign).write_into(buf);
+    let bytes = buf.as_bytes();
+    let mut note = |line: String| eprintln!("{line}");
+    vfs::with_retry(&opts.retry, "cell export write", &mut note, || {
+        write_atomic_via(io, &path, bytes).map_err(|e| e.to_string())
+    })
+    .map_err(|e| format!("storage: writing {}: {e}", path.display()))?;
+    Ok(ExportStamp {
+        name,
+        crc: crc32(bytes),
+        len: bytes.len() as u64,
+    })
 }
 
 /// A cooperative cancel aborts with a uniform `canceled:` error; the
@@ -1077,6 +1097,7 @@ pub fn human_report(o: &SweepOutcome) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::CampaignExport;
     use crate::json;
     use dmsa_scenario::{BreakerSetting, PresetAxis, ScenarioConfig};
 
@@ -1192,33 +1213,70 @@ mod tests {
 
     #[test]
     fn warm_sweep_cells_are_byte_identical_to_standalone_forked_runs() {
-        let dir = tmp_dir("warm");
+        // At `jobs: 1` one worker's buffer renders every cell in grid
+        // order, exports of different sizes in turn; at `jobs: 2` two
+        // buffers share the cells. Either way each export must equal its
+        // standalone bytes and carry their CRC stamp.
         let grid = tiny_grid();
         let at = SimDuration::from_hours(4);
-        let outcome = run_sweep(
-            &grid,
-            &SweepOpts {
-                jobs: 2,
-                warm_start_at: Some(at),
-                out_dir: dir.clone(),
-                write_cell_exports: true,
-                interrupt: None,
-                ..SweepOpts::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(outcome.n_failed(), 0, "{:?}", outcome.cells);
-        assert!(outcome.cells.iter().all(|c| c.warm_started));
-        for cell in grid.expand().unwrap() {
-            let standalone = CampaignExport::from_campaign(
-                &dmsa_scenario::run_forked(&cell.base, &cell.config, SimTime::EPOCH + at).unwrap(),
+        let cells = grid.expand().unwrap();
+        let standalone: Vec<String> = cells
+            .iter()
+            .map(|cell| {
+                CampaignExport::from_campaign(
+                    &dmsa_scenario::run_forked(&cell.base, &cell.config, SimTime::EPOCH + at)
+                        .unwrap(),
+                )
+                .to_json()
+            })
+            .collect();
+        assert!(
+            standalone.windows(2).any(|w| w[1].len() < w[0].len()),
+            "the grid must render a smaller export after a larger one"
+        );
+        for jobs in [1, 2] {
+            let dir = tmp_dir(&format!("warm-j{jobs}"));
+            let outcome = run_sweep(
+                &grid,
+                &SweepOpts {
+                    jobs,
+                    warm_start_at: Some(at),
+                    out_dir: dir.clone(),
+                    write_cell_exports: true,
+                    interrupt: None,
+                    ..SweepOpts::default()
+                },
             )
-            .to_json();
-            let from_sweep =
-                std::fs::read_to_string(dir.join(export_file_name(&cell.label))).unwrap();
-            assert_eq!(from_sweep, standalone, "warm cell {} diverged", cell.label);
+            .unwrap();
+            assert_eq!(outcome.n_failed(), 0, "{:?}", outcome.cells);
+            assert!(outcome.cells.iter().all(|c| c.warm_started));
+            let replay = journal::load(&dir).unwrap().expect("sweep journals");
+            for (cell, want) in cells.iter().zip(&standalone) {
+                let from_sweep =
+                    std::fs::read_to_string(dir.join(export_file_name(&cell.label))).unwrap();
+                assert_eq!(
+                    &from_sweep, want,
+                    "jobs {jobs}: warm cell {} diverged",
+                    cell.label
+                );
+                let stamp = replay.records.iter().find_map(|r| match r {
+                    journal::Record::Completed {
+                        label,
+                        export_crc,
+                        export_len,
+                        ..
+                    } if *label == cell.label => Some((*export_crc, *export_len)),
+                    _ => None,
+                });
+                assert_eq!(
+                    stamp,
+                    Some((crc32(want.as_bytes()), want.len() as u64)),
+                    "jobs {jobs}: cell {} stamp",
+                    cell.label
+                );
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! `dmsa analyze --matches` refuses a match set whose job or transfer
 //! indices point past the campaign's records, with an error that names
-//! the index and the store's size, instead of panicking in a report.
+//! the index and the store's size, instead of panicking in a report. It
+//! exits 1, the code of a data error, without the usage text.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -59,12 +60,12 @@ fn analyze_rejects_out_of_range_match_indices() {
             "--report",
             "summary",
         ]);
-        assert!(
-            code.is_some_and(|c| c != 0 && c != 101),
-            "exit {code:?}: {err}"
-        );
+        // A refused match set is a data error (exit 1, the error line
+        // alone), not a usage error (exit 2 and the usage text).
+        assert_eq!(code, Some(1), "{err}");
         assert!(err.contains(want), "{err}");
         assert!(!err.contains("panicked"), "{err}");
+        assert!(!err.contains("usage:"), "{err}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

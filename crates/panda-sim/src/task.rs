@@ -42,9 +42,9 @@ impl TaskProgress {
     /// Record one job outcome.
     pub fn record(&mut self, success: bool) {
         if success {
-            self.n_finished += 1;
+            self.n_finished = self.n_finished.saturating_add(1);
         } else {
-            self.n_failed += 1;
+            self.n_failed = self.n_failed.saturating_add(1);
         }
     }
 
@@ -56,8 +56,11 @@ impl TaskProgress {
     /// Final task status: failed if more than half its jobs failed, or if
     /// the task was doomed from the start.
     pub fn final_status(&self, task: &JediTask) -> TaskStatus {
-        let total = (self.n_finished + self.n_failed).max(1);
-        if task.doomed || self.n_failed * 2 > total {
+        // Widened, so counts restored from a damaged checkpoint cannot
+        // overflow.
+        let failed = u64::from(self.n_failed);
+        let total = (u64::from(self.n_finished) + failed).max(1);
+        if task.doomed || failed * 2 > total {
             TaskStatus::Failed
         } else {
             TaskStatus::Done

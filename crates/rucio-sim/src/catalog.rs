@@ -275,19 +275,53 @@ impl ReplicaCatalog {
 
     /// Sanity check of all catalog invariants; used by property tests and
     /// debug assertions in the scenario driver.
+    ///
+    /// Every id is checked to be in range before it is used as an index,
+    /// so a catalog rebuilt from hostile parts is refused, never indexed
+    /// out of bounds.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.replicas.len() != self.files.len() {
             return Err("replica table length mismatch".into());
         }
-        for ds in &self.datasets {
-            let sum: u64 = ds.files.iter().map(|&f| self.file(f).size).sum();
-            if sum != ds.total_bytes {
-                return Err(format!("dataset {:?} byte total drifted", ds.id));
+        let (n_files, n_datasets) = (self.files.len() as u64, self.datasets.len() as u64);
+        for (i, f) in self.files.iter().enumerate() {
+            if f.id.0 != i as u64 {
+                return Err(format!("file {i} carries id {}", f.id.0));
             }
+            if f.dataset.0 >= n_datasets {
+                return Err(format!(
+                    "file {i} points at dataset {} of {n_datasets}",
+                    f.dataset.0
+                ));
+            }
+        }
+        for (i, ds) in self.datasets.iter().enumerate() {
+            if ds.id.0 != i as u64 {
+                return Err(format!("dataset {i} carries id {}", ds.id.0));
+            }
+            let mut sum = Some(0u64);
             for &f in &ds.files {
+                if f.0 >= n_files {
+                    return Err(format!("dataset {i} lists file {} of {n_files}", f.0));
+                }
                 if self.file(f).dataset != ds.id {
                     return Err(format!("file {f:?} back-pointer broken"));
                 }
+                sum = sum.and_then(|s| s.checked_add(self.file(f).size));
+            }
+            if sum != Some(ds.total_bytes) {
+                return Err(format!("dataset {:?} byte total drifted", ds.id));
+            }
+        }
+        for (i, ct) in self.containers.iter().enumerate() {
+            if ct.id.0 != i as u64 {
+                return Err(format!("container {i} carries id {}", ct.id.0));
+            }
+            if let Some(d) = ct.datasets.iter().find(|d| d.0 >= n_datasets) {
+                return Err(format!(
+                    "container {i} lists dataset {} of {n_datasets}",
+                    d.0
+                ));
             }
         }
         for (i, set) in self.replicas.iter().enumerate() {

@@ -543,9 +543,12 @@ impl Driver {
         d.queued = self.queued.clone();
         d.running = self.running.clone();
         d.compute_slots = self.compute_slots.clone();
-        d.tasks = self.tasks.clone();
-        d.finished = self.finished.clone();
-        d.transfers = self.transfers.clone();
+        // The record tables keep the prefix's capacity (a plain `clone`
+        // would trim it to the length), so the continuation appends into
+        // room the prefix already grew instead of regrowing and copying.
+        d.tasks = clone_with_capacity(&self.tasks);
+        d.finished = clone_with_capacity(&self.finished);
+        d.transfers = clone_with_capacity(&self.transfers);
         d.next_pandaid = self.next_pandaid;
         d.next_taskid = self.next_taskid;
         d.next_dio_id = self.next_dio_id;
@@ -1518,6 +1521,20 @@ impl Driver {
     /// Flatten jobs/transfers into the metadata store and corrupt it.
     fn finish(self) -> Campaign {
         let mut store = MetaStore::new();
+        // Exact record counts, so the tables are allocated once.
+        store.jobs.reserve_exact(self.finished.len());
+        store.files.reserve_exact(
+            self.finished
+                .iter()
+                .map(|(job, _, _)| job.input_files.len() + job.output_files.len())
+                .sum(),
+        );
+        store.transfers.reserve_exact(
+            self.transfers
+                .iter()
+                .filter(|(_, recorded)| *recorded)
+                .count(),
+        );
         let sym_of_site: Vec<Sym> = self
             .topology
             .sites()
@@ -1646,6 +1663,13 @@ impl Driver {
             health: self.health.as_ref().map(|m| m.summary()),
         }
     }
+}
+
+/// A copy of `v` with `v`'s capacity, not just its length.
+fn clone_with_capacity<T: Clone>(v: &Vec<T>) -> Vec<T> {
+    let mut out = Vec::with_capacity(v.capacity());
+    out.extend_from_slice(v);
+    out
 }
 
 /// Intern a catalog name into the store's symbol table, memoized by the

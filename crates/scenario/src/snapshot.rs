@@ -18,9 +18,11 @@
 //!
 //! Decoding never panics on malformed input: every structural error is
 //! reported with the byte offset where the payload stopped making sense,
-//! and every cross-field invariant (catalog back-pointers, rule id
-//! density, slot-table shape, site counts) is revalidated so a corrupted
-//! checkpoint is rejected instead of corrupting a resumed campaign.
+//! every cross-field invariant (catalog back-pointers, rule id density,
+//! slot-table shape, site counts) is revalidated, and every site, RSE,
+//! file, dataset and task id is range-checked against the table it
+//! indexes, so a corrupted or forged checkpoint is rejected instead of
+//! corrupting (or panicking) a resumed campaign.
 
 use crate::config::ScenarioConfig;
 use crate::driver::{Driver, Event, PendingJob, TaskCtx};
@@ -365,13 +367,20 @@ fn decode_inner(
         }
     }
 
-    // Clock + event queue.
+    // Clock + event queue. The queue is restored last, once the tables
+    // its pending jobs point into are decoded and checked.
     let now = get_time(r)?;
     let next_seq = r.get_u64()?;
     let n = r.get_seq_len(17)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         let t = get_time(r)?;
+        if t < now {
+            return Err(bad(
+                r,
+                format!("queue entry at {t:?} is before the clock {now:?}"),
+            ));
+        }
         let seq = r.get_u64()?;
         if seq >= next_seq {
             return Err(bad(
@@ -382,7 +391,6 @@ fn decode_inner(
         let ev = get_event(r)?;
         entries.push((t, seq, ev));
     }
-    d.queue = EventQueue::restore(entries, next_seq, now);
 
     // Driver RNG streams.
     d.rng_task = get_rng(r)?;
@@ -473,7 +481,7 @@ fn decode_inner(
         }
         let mut fresh = BinaryHeap::with_capacity(k);
         for _ in 0..k {
-            fresh.push(Reverse(r.get_i64()?));
+            fresh.push(Reverse(get_millis(r)?));
         }
         *heap = fresh;
     }
@@ -538,7 +546,102 @@ fn decode_inner(
             format!("{} trailing bytes after snapshot payload", r.remaining()),
         ));
     }
+    check_references(&d, &entries).map_err(|what| bad(r, what))?;
+    d.queue = EventQueue::restore(entries, next_seq, now);
     Ok(d)
+}
+
+/// Range-check every id the restored state will index a table with:
+/// sites and RSEs against the topology, files and datasets against the
+/// catalog, task indices against the task table. The frame's CRC shows
+/// only that the bytes arrived as written, not that whoever wrote them
+/// was honest, so a payload that passes it can still name a site the
+/// grid does not have; it is refused here rather than indexed later.
+fn check_references(d: &Driver, queue: &[(SimTime, u64, Event)]) -> Result<(), String> {
+    let n_sites = d.topology.n_sites();
+    let n_rses = d.topology.rses().len();
+    let n_files = d.catalog.files().len() as u64;
+    let n_datasets = d.catalog.datasets().len() as u64;
+    let n_tasks = d.tasks.len();
+    // Each check names the record as `what` and its index `i`.
+    let site = |s: SiteId, what: &str, i: usize| {
+        if s.index() < n_sites {
+            Ok(())
+        } else {
+            Err(format!("{what} {i} names site {} of {n_sites}", s.0))
+        }
+    };
+    let rse = |id: RseId, what: &str, i: usize| {
+        if id.index() < n_rses {
+            Ok(())
+        } else {
+            Err(format!("{what} {i} names RSE {} of {n_rses}", id.0))
+        }
+    };
+    let files = |ids: &[FileId], what: &str, i: usize| match ids.iter().find(|f| f.0 >= n_files) {
+        None => Ok(()),
+        Some(f) => Err(format!("{what} {i} names file {} of {n_files}", f.0)),
+    };
+
+    for (i, set) in d.catalog.replicas().iter().enumerate() {
+        for &id in set {
+            rse(id, "replica set of file", i)?;
+        }
+    }
+    for (i, rule) in d.rules.rules().iter().enumerate() {
+        if rule.dataset.0 >= n_datasets {
+            return Err(format!(
+                "rule {i} names dataset {} of {n_datasets}",
+                rule.dataset.0
+            ));
+        }
+        for &id in &rule.candidate_rses {
+            rse(id, "rule", i)?;
+        }
+    }
+    if let Some(h) = d.health.as_ref() {
+        let snap = h.snapshot();
+        for (i, ((src, dst), _)) in snap.links.iter().enumerate() {
+            site(*src, "health link", i)?;
+            site(*dst, "health link", i)?;
+        }
+        for (i, ep) in snap.episodes.iter().enumerate() {
+            match ep.subject {
+                HealthSubject::Site(s) => site(s, "health episode", i)?,
+                HealthSubject::Link { src, dst } => {
+                    site(src, "health episode", i)?;
+                    site(dst, "health episode", i)?;
+                }
+            }
+        }
+    }
+    for (i, (_, _, ev)) in queue.iter().enumerate() {
+        let (Event::JobCreated(pj) | Event::StagingDone(pj) | Event::ExecDone(pj)) = ev else {
+            continue;
+        };
+        if pj.task_idx as usize >= n_tasks {
+            return Err(format!(
+                "queued job {i} points at task {} of {n_tasks}",
+                pj.task_idx
+            ));
+        }
+        site(pj.site, "queued job", i)?;
+        if let Some(id) = pj.stage_source {
+            rse(id, "queued job", i)?;
+        }
+        files(&pj.input_files, "queued job", i)?;
+    }
+    for (i, (job, _, _)) in d.finished.iter().enumerate() {
+        site(job.computing_site, "finished job", i)?;
+        files(&job.input_files, "finished job", i)?;
+        files(&job.output_files, "finished job", i)?;
+    }
+    for (i, (ev, _)) in d.transfers.iter().enumerate() {
+        files(&[ev.file], "transfer event", i)?;
+        site(ev.source_site, "transfer event", i)?;
+        site(ev.destination_site, "transfer event", i)?;
+    }
+    Ok(())
 }
 
 fn bad(r: &Reader<'_>, what: String) -> CodecError {
@@ -557,7 +660,23 @@ fn put_time(w: &mut Writer, t: SimTime) {
 }
 
 fn get_time(r: &mut Reader<'_>) -> Result<SimTime, CodecError> {
-    Ok(SimTime::from_millis(r.get_i64()?))
+    Ok(SimTime::from_millis(get_millis(r)?))
+}
+
+/// Largest instant or span, in ms, a snapshot may carry: 2^53 ms is
+/// about 285,000 years, and the largest integer an export holds exactly.
+/// A campaign never comes near it; what it rules out is a damaged clock
+/// whose sums and differences overflow `i64` once the run resumes.
+const MAX_MILLIS: i64 = 1 << 53;
+
+/// A millisecond count (an instant, a slot clock or a span), refused
+/// when negative or above [`MAX_MILLIS`]: no campaign state holds one.
+fn get_millis(r: &mut Reader<'_>) -> Result<i64, CodecError> {
+    let ms = r.get_i64()?;
+    if !(0..=MAX_MILLIS).contains(&ms) {
+        return Err(bad(r, format!("time {ms} ms is outside 0..=2^53")));
+    }
+    Ok(ms)
 }
 
 fn put_rng(w: &mut Writer, rng: &SimRng) {
@@ -850,7 +969,7 @@ fn get_engine(r: &mut Reader<'_>) -> Result<TransferEngineSnapshot, CodecError> 
         let k = r.get_seq_len(8)?;
         let mut row = Vec::with_capacity(k);
         for _ in 0..k {
-            row.push(r.get_i64()?);
+            row.push(get_millis(r)?);
         }
         slots.push(row);
     }
@@ -929,7 +1048,7 @@ fn get_catalog(r: &mut Reader<'_>) -> Result<ReplicaCatalog, CodecError> {
             id: FileId(r.get_u64()?),
             lfn: Sym(r.get_u32()?),
             scope: get_scope(r)?,
-            size: r.get_u64()?,
+            size: get_file_size(r)?,
             dataset: DatasetId(r.get_u64()?),
             registered: get_time(r)?,
         });
@@ -973,6 +1092,17 @@ fn get_catalog(r: &mut Reader<'_>) -> Result<ReplicaCatalog, CodecError> {
             what: format!("catalog: {e}"),
         }
     })
+}
+
+/// A catalog file size, refused above 2^53 bytes (the largest integer an
+/// export holds exactly): a damaged size near 2^64 would overflow the
+/// reaper's per-RSE usage sums.
+fn get_file_size(r: &mut Reader<'_>) -> Result<u64, CodecError> {
+    let size = r.get_u64()?;
+    if size > 1 << 53 {
+        return Err(bad(r, format!("file size {size} is above 2^53 bytes")));
+    }
+    Ok(size)
 }
 
 /// Dense symbol-table image: string count, then every string in sym
@@ -1031,7 +1161,7 @@ fn get_rule(r: &mut Reader<'_>) -> Result<ReplicationRule, CodecError> {
     let copies = r.get_u64()? as usize;
     let created = get_time(r)?;
     let lifetime = if r.get_bool()? {
-        Some(SimDuration::from_millis(r.get_i64()?))
+        Some(SimDuration::from_millis(get_millis(r)?))
     } else {
         None
     };
