@@ -155,7 +155,7 @@ pub mod rss {
 /// the reference `BinaryHeap` event queue and verifies the exported
 /// store is identical before reporting the speedup.
 pub mod sim_report {
-    use dmsa_scenario::{Campaign, ScenarioConfig};
+    use dmsa_scenario::{Campaign, DrainOpts, ScenarioConfig};
     use dmsa_simcore::QueueBackend;
     use std::time::Instant;
 
@@ -208,7 +208,11 @@ pub mod sim_report {
 
     fn timed_run(config: &ScenarioConfig, backend: QueueBackend) -> (Campaign, f64) {
         let start = Instant::now();
-        let campaign = dmsa_scenario::run_with_queue(config, backend);
+        let opts = DrainOpts {
+            backend,
+            ..DrainOpts::default()
+        };
+        let campaign = dmsa_scenario::drain(config, opts).expect("an unwatched drain cannot fail");
         (campaign, start.elapsed().as_secs_f64())
     }
 

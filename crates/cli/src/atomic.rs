@@ -9,9 +9,10 @@
 //! previous output with a partial one.
 
 //!
-//! All of the durable steps go through a [`vfs::IoBackend`], so a chaos
-//! drill ([`vfs::ChaosBackend`]) can inject ENOSPC, EIO, torn writes,
-//! fsync failures, and rename failures at exactly these points.
+//! All of the durable steps go through a [`crate::vfs::IoBackend`], so a
+//! chaos drill ([`crate::vfs::ChaosBackend`]) can inject ENOSPC, EIO,
+//! torn writes, fsync failures, and rename failures at exactly these
+//! points.
 //! [`write_atomic`] uses the real filesystem; [`write_atomic_via`] takes
 //! an explicit backend.
 

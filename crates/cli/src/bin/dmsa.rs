@@ -35,16 +35,17 @@ use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // The error is written with `writeln!`, not `eprintln!`, and a failed
+    // write is ignored: when stderr is a pipe whose reader has exited,
+    // `eprintln!` would panic and turn the exit code into 101.
     match dispatch(&args) {
         Ok(code) => code,
         Err(Failure::Usage(msg)) => {
-            eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("{USAGE}");
+            let _ = writeln!(std::io::stderr(), "error: {msg}\n\n{USAGE}");
             ExitCode::from(2)
         }
         Err(Failure::Runtime(msg)) => {
-            eprintln!("error: {msg}");
+            let _ = writeln!(std::io::stderr(), "error: {msg}");
             ExitCode::from(1)
         }
     }

@@ -16,7 +16,8 @@ use dmsa_core::{
 };
 use dmsa_gridnet::HealthConfig;
 use dmsa_metastore::MetaStore;
-use dmsa_scenario::{Campaign, ScenarioConfig};
+use dmsa_scenario::snapshot::{self, Mode};
+use dmsa_scenario::{Campaign, DrainOpts, ScenarioConfig, Start};
 use dmsa_simcore::{SimDuration, SimTime};
 use std::fmt::Write as _;
 use std::io;
@@ -352,6 +353,7 @@ pub fn run_with_checkpoints_status(
             }
         }
     };
+    let mut start = Start::Cold;
     if ckpt.resume {
         for path in store.scan()? {
             let bytes = match store.read(&path) {
@@ -368,20 +370,15 @@ pub fn run_with_checkpoints_status(
                     continue;
                 }
             };
-            match dmsa_scenario::snapshot::validate_classified(config, payload) {
-                Ok(at) => {
+            match snapshot::decode(config, payload, Mode::Resume) {
+                Ok(checked) => {
                     say(format!(
                         "resuming from {} (sim-time {} ms)",
                         path.display(),
-                        at.as_millis()
+                        checked.at().as_millis()
                     ));
-                    let campaign = dmsa_scenario::resume_checkpointed(
-                        config,
-                        payload,
-                        Some(ckpt.every),
-                        &mut sink,
-                    )?;
-                    return Ok((campaign, storage));
+                    start = Start::Snapshot(checked);
+                    break;
                 }
                 Err(why) => say(format!(
                     "skipping {}: [{}] {why}",
@@ -390,12 +387,19 @@ pub fn run_with_checkpoints_status(
                 )),
             }
         }
-        say(format!(
-            "no usable checkpoint in {}; starting from the beginning",
-            dir.display()
-        ));
+        if matches!(start, Start::Cold) {
+            say(format!(
+                "no usable checkpoint in {}; starting from the beginning",
+                dir.display()
+            ));
+        }
     }
-    let campaign = dmsa_scenario::run_checkpointed(config, ckpt.every, &mut sink)?;
+    let opts = DrainOpts {
+        start,
+        checkpoints: Some((ckpt.every, &mut sink)),
+        ..DrainOpts::default()
+    };
+    let campaign = dmsa_scenario::drain(config, opts)?;
     Ok((campaign, storage))
 }
 

@@ -32,10 +32,10 @@
 //!   reproduce the artifacts of clean first-attempt sweeps exactly.
 //! * **Warm-start sharing** — cells agreeing on `(preset, seed)` pay
 //!   the `[0, warm_start_at)` prefix once, via
-//!   [`dmsa_scenario::shared_prefix`]; each cell then continues from a
-//!   memcpy-scale clone of the live prefix state
-//!   ([`dmsa_scenario::SharedPrefix::fork`]) rather than re-decoding a
-//!   byte snapshot per cell.
+//!   [`dmsa_scenario::SharedPrefix::new`]; each cell then continues from
+//!   a memcpy-scale copy of the live prefix state
+//!   ([`dmsa_scenario::Start::Prefix`]) rather than re-decoding a byte
+//!   snapshot per cell. SIGTERM aborts a prefix as it aborts a cell.
 //! * **Failure isolation** — one panicking cell is quarantined (its row
 //!   records the panic, the summary counts it, the exit code reflects
 //!   partial success); the rest of the fleet completes.
@@ -48,7 +48,9 @@ use crate::vfs::{self, ChaosProfile, IoBackend, IoRetryPolicy, RealBackend};
 use dmsa_analysis::sweep::{
     aggregate, cell_metrics, classify_failure, CellFailureClass, CellMetrics, KnobGroup,
 };
-use dmsa_scenario::{BreakerSetting, Campaign, CancelToken, GridCell, SharedPrefix, SweepGrid};
+use dmsa_scenario::{
+    BreakerSetting, Campaign, CancelToken, DrainOpts, GridCell, SharedPrefix, Start, SweepGrid,
+};
 use dmsa_simcore::codec::crc32;
 use dmsa_simcore::stats::Summary;
 use dmsa_simcore::{SimDuration, SimTime};
@@ -296,10 +298,16 @@ pub fn run_cell(
     prefix: Option<&SharedPrefix>,
     cancel: &CancelToken,
 ) -> Result<Campaign, String> {
-    match prefix {
-        None => dmsa_scenario::run_cancelable(&cell.config, cancel),
-        Some(p) => p.fork_cancelable(&cell.config, cancel),
-    }
+    let start = match prefix {
+        None => Start::Cold,
+        Some(p) => Start::Prefix(p),
+    };
+    let opts = DrainOpts {
+        start,
+        cancel: Some(cancel),
+        ..DrainOpts::default()
+    };
+    dmsa_scenario::drain(&cell.config, opts)
 }
 
 /// The canonical export name of a cell.
@@ -438,7 +446,11 @@ pub fn run_sweep_with(
 
     // Shared prefixes, one per distinct base config (= per (preset,
     // seed) group) that still has work, computed across the same worker
-    // pool. A panicking prefix poisons only its own group's cells.
+    // pool. A panicking prefix poisons only its own group's cells. The
+    // interrupt probe reaches into each prefix run (the per-cell deadline
+    // does not: a prefix serves a whole group), and an aborted prefix
+    // quarantines its group as `interrupted:`. Each entry holds the
+    // reason its group's cells fail with.
     let mut prefixes: HashMap<u64, Result<SharedPrefix, String>> = HashMap::new();
     if let Some(at) = opts.warm_start_at {
         let divergence = SimTime::EPOCH + at;
@@ -450,22 +462,29 @@ pub fn run_sweep_with(
                 groups.push((key, cell));
             }
         }
+        let cancel = opts
+            .interrupt
+            .map(|stop| CancelToken::new().with_probe(stop));
         let snaps = run_pool(groups.len(), jobs, opts.interrupt, |i| {
-            catch_unwind(AssertUnwindSafe(|| {
-                dmsa_scenario::shared_prefix(&groups[i].1.base, divergence)
-            }))
-            .map_err(|p| {
-                format!(
-                    "prefix for {} panicked: {}",
-                    groups[i].1.label,
+            let (_, cell) = groups[i];
+            match catch_unwind(AssertUnwindSafe(|| {
+                SharedPrefix::new(&cell.base, divergence, cancel.as_ref())
+            })) {
+                Ok(Ok(prefix)) => Ok(prefix),
+                Ok(Err(e)) => Err(format!(
+                    "interrupted: shared prefix aborted by termination request ({e})"
+                )),
+                Err(p) => Err(format!(
+                    "shared prefix unavailable: prefix for {} panicked: {}",
+                    cell.label,
                     panic_msg(&*p)
-                )
-            })
+                )),
+            }
         });
         for ((key, _), snap) in groups.into_iter().zip(snaps) {
             prefixes.insert(
                 key,
-                snap.unwrap_or_else(|| Err("interrupted before the shared prefix ran".into())),
+                snap.unwrap_or_else(|| Err("interrupted: shared prefix never started".into())),
             );
         }
     }
@@ -478,12 +497,11 @@ pub fn run_sweep_with(
                 label: cell.label.clone(),
             }));
         }
-        let prefix =
-            opts.warm_start_at
-                .map(|_| match &prefixes[&cell.base.behavior_fingerprint()] {
-                    Ok(p) => Ok(p),
-                    Err(e) => Err(format!("shared prefix unavailable: {e}")),
-                });
+        let prefix = opts.warm_start_at.map(|_| {
+            prefixes[&cell.base.behavior_fingerprint()]
+                .as_ref()
+                .map_err(Clone::clone)
+        });
         let run = run_one(cell, prefix, runner, opts, &*io, jrnl.as_ref());
         if let Some(j) = &jrnl {
             let rec = match &run.result {
@@ -1394,6 +1412,53 @@ mod tests {
         );
         assert_eq!(root.get("n_failed").and_then(|v| v.as_u64()), Some(7));
         assert!(human_report(&outcome).contains("INTERRUPTED"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn interrupt_during_the_prefix_phase_aborts_the_prefix() {
+        use std::sync::atomic::AtomicU32;
+        static CALLS: AtomicU32 = AtomicU32::new(0);
+        CALLS.store(0, Ordering::Relaxed);
+        // The "signal" arrives on the probe's tenth call: after the pool
+        // claimed the first prefix, while that prefix is running.
+        fn probe() -> bool {
+            CALLS.fetch_add(1, Ordering::Relaxed) >= 10
+        }
+
+        let dir = tmp_dir("prefix-interrupt");
+        let outcome = run_sweep(
+            &tiny_grid(),
+            &SweepOpts {
+                jobs: 1,
+                warm_start_at: Some(SimDuration::from_hours(5)),
+                out_dir: dir.clone(),
+                write_cell_exports: false,
+                interrupt: Some(probe),
+                ..SweepOpts::default()
+            },
+        )
+        .unwrap();
+
+        assert!(outcome.interrupted);
+        assert_eq!(outcome.cells.len(), 8, "every cell gets a row");
+        // The prefix was aborted, not run to completion: had it finished,
+        // the pool would have claimed a cell before seeing the signal.
+        for c in &outcome.cells {
+            assert_eq!(
+                c.result.as_ref().err().map(String::as_str),
+                Some("interrupted: cell never started"),
+                "{}",
+                c.label
+            );
+        }
+        let summary = std::fs::read_to_string(dir.join("sweep_summary.json")).unwrap();
+        let root = json::parse(&summary).expect("partial summary parses");
+        assert_eq!(
+            root.get("interrupted").and_then(|v| v.as_bool()),
+            Some(true)
+        );
+        assert_eq!(root.get("n_failed").and_then(|v| v.as_u64()), Some(8));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

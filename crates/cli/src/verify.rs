@@ -466,10 +466,13 @@ mod tests {
     fn clean_checkpoint_passes_and_bitflip_fails() {
         let dir = scratch("ckpt");
         let config = crate::run::preset_config("8day", 0.01, 7).unwrap();
-        let snap = dmsa_scenario::prefix_snapshot(
+        let snap = dmsa_scenario::SharedPrefix::new(
             &config,
             dmsa_simcore::SimTime::EPOCH + dmsa_simcore::SimDuration::from_hours(1),
-        );
+            None,
+        )
+        .unwrap()
+        .encode();
         fs::write(dir.join("good.dmsa"), frame(&snap)).unwrap();
         let mut bad = frame(&snap);
         let mid = bad.len() / 2;

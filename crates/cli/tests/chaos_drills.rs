@@ -10,7 +10,7 @@ use dmsa_cli::serve::{load_store_gen, ServeConfig, Server};
 use dmsa_cli::verify::{self, FileVerdict};
 use dmsa_cli::vfs::{ChaosBackend, ChaosProfile, IoRetryPolicy};
 use dmsa_cli::CampaignExport;
-use dmsa_scenario::ScenarioConfig;
+use dmsa_scenario::{ScenarioConfig, SharedPrefix};
 use dmsa_simcore::{SimDuration, SimTime};
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
@@ -103,8 +103,9 @@ fn verify_detects_every_corruption_the_drill_planted() {
         ..ChaosProfile::default()
     }));
     let store = CheckpointDir::open_with(&dir, 100, backend.clone()).unwrap();
-    let payload =
-        dmsa_scenario::prefix_snapshot(&config, SimTime::EPOCH + SimDuration::from_hours(1));
+    let payload = SharedPrefix::new(&config, SimTime::EPOCH + SimDuration::from_hours(1), None)
+        .unwrap()
+        .encode();
     for hour in 1..=12 {
         store
             .write(SimTime::EPOCH + SimDuration::from_hours(hour), &payload)

@@ -192,7 +192,7 @@ impl ScenarioConfig {
     /// equal fingerprints produce byte-identical campaigns from the same
     /// seed; any differing knob — fault rates, breaker thresholds, retry
     /// budgets, workload shape — changes the fingerprint. Snapshots embed
-    /// it so [`crate::snapshot::validate`] refuses a resume under a config
+    /// it so [`crate::snapshot::decode`] refuses a resume under a config
     /// that would silently replay divergent state.
     pub fn behavior_fingerprint(&self) -> u64 {
         dmsa_simcore::fx::hash_bytes(format!("{self:?}").as_bytes())
@@ -201,7 +201,7 @@ impl ScenarioConfig {
     /// Fingerprint of the *structural* knobs a deliberate config fork must
     /// still agree on: the master seed (RNG stream continuity) and the
     /// topology (site/RSE/link shape every snapshotted table is indexed
-    /// by). [`crate::snapshot::fork_with_config`] checks only this, so a
+    /// by). A fork ([`crate::snapshot::Mode::Fork`]) checks only this, so a
     /// warm-started sweep cell may change fault rates, breaker settings,
     /// retry budgets, or workload mid-flight — but never the grid itself.
     pub fn structural_fingerprint(&self) -> u64 {

@@ -9,14 +9,20 @@
 //! catches uploads too.
 //!
 //! The loop produces ground-truth [`dmsa_rucio_sim::TransferEvent`]s and
-//! finished jobs; [`run`] then flattens both into a [`MetaStore`] and
+//! finished jobs; [`drain`] then flattens both into a [`MetaStore`] and
 //! applies the corruption model. Everything downstream (matching, analysis,
 //! benches) consumes only the store.
+//!
+//! Every way of running a campaign is one [`drain`] over [`DrainOpts`]:
+//! a start (cold, a checked snapshot, or a live [`SharedPrefix`]), an
+//! optional [`CancelToken`], an optional checkpoint sink and a queue
+//! backend. [`run`] and [`run_forked`] are its two shorthands.
 
 use crate::config::ScenarioConfig;
+use crate::snapshot::{CheckedSnapshot, Mode};
 use dmsa_gridnet::{
     BandwidthModel, FaultModel, GridTopology, HealthEvent, HealthMonitor, HealthSignal,
-    HealthSubject, HealthSummary, SiteId,
+    HealthSnapshot, HealthSubject, HealthSummary, SiteId,
 };
 use dmsa_metastore::{FileDirection, FileRecord, JobRecord, MetaStore, Sym, TransferRecord};
 use dmsa_panda_sim::task::TaskProgress;
@@ -24,7 +30,7 @@ use dmsa_panda_sim::{
     Broker, DispatchOutcome, HeartbeatOutcome, IoMode, Job, JobId, JobStatus, PilotModel,
     SiteLoadView, TaskId, TaskKind, TaskStatus, WorkloadModel,
 };
-use dmsa_rucio_sim::transfer::TransferRequest;
+use dmsa_rucio_sim::transfer::{TransferEngineSnapshot, TransferRequest};
 use dmsa_rucio_sim::{
     reap_all, Activity, DatasetId, FileId, ReaperPolicy, ReplicaCatalog, RuleEngine, Scope,
     TransferEngine, TransferEvent, TransferPathStats, TransferStatus,
@@ -164,7 +170,7 @@ impl CancelToken {
     }
 
     /// Add a wall-clock deadline: the drain aborts once `Instant::now()`
-    /// passes it (checked every [`CANCEL_STRIDE`] tick batches).
+    /// passes it (checked every 1024 tick batches).
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self
@@ -192,194 +198,344 @@ impl CancelToken {
     pub fn deadline_exceeded(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
-
-    /// Any trigger fired? (Flag, probe, or deadline.)
-    pub fn is_canceled(&self) -> bool {
-        self.fast_canceled() || self.deadline_exceeded()
-    }
 }
 
-/// Run one campaign.
+/// Where a [`drain`] starts.
+#[derive(Default)]
+pub enum Start<'a> {
+    /// From t = 0: seed the catalog and plant the event chains.
+    #[default]
+    Cold,
+    /// From a snapshot that [`crate::snapshot::decode`] already checked
+    /// against the drain's config — a strict resume or a deliberate fork.
+    Snapshot(CheckedSnapshot),
+    /// From a live warm-start prefix, forked under the drain's config:
+    /// byte-identical to a [`Start::Snapshot`] of the prefix's encoding
+    /// decoded as a fork, at the cost of one copy of the state.
+    Prefix(&'a SharedPrefix),
+}
+
+/// How [`drain`] runs a campaign. `DrainOpts::default()` is a cold,
+/// unwatched run on the calendar queue — what [`run`] does.
+#[derive(Default)]
+pub struct DrainOpts<'a> {
+    /// Where the campaign starts.
+    pub start: Start<'a>,
+    /// Polled once per tick batch; a canceled drain returns a
+    /// `canceled:` error (interrogate the token for which trigger fired).
+    pub cancel: Option<&'a CancelToken>,
+    /// `(every, sink)`: hand the sink an encoded snapshot at every
+    /// `every`-aligned sim-time boundary the clock crosses, counted from
+    /// the start's clock. A sink error aborts the campaign (the caller
+    /// decides whether a failed checkpoint write is fatal).
+    pub checkpoints: Option<(SimDuration, SnapshotSink<'a>)>,
+    /// Event-queue backend of a cold start; a restored queue is always
+    /// the calendar queue. The campaign is byte-identical across
+    /// backends — `bench_sim` and a differential test pit them against
+    /// each other.
+    pub backend: QueueBackend,
+}
+
+/// Run one campaign to completion: the one event loop behind every way
+/// of running a campaign.
+///
+/// Neither the token, the checkpoints nor the backend mutates simulator
+/// state or consumes a random draw, so an un-canceled campaign is
+/// byte-identical whatever they are. A resumed snapshot continues to the
+/// byte-identical campaign of the uninterrupted same-seed run: the
+/// snapshot captures every piece of mutable driver state, including the
+/// exact positions of all RNG streams and the pending event queue with
+/// its FIFO tie-break counters.
+pub fn drain(config: &ScenarioConfig, opts: DrainOpts<'_>) -> Result<Campaign, String> {
+    let mut d = match opts.start {
+        Start::Cold => {
+            let mut d = Driver::new(config.clone(), opts.backend);
+            d.start();
+            d
+        }
+        Start::Snapshot(CheckedSnapshot { driver }) => {
+            if driver.config.behavior_fingerprint() != config.behavior_fingerprint() {
+                return Err("snapshot was checked under another config than the drain's".into());
+            }
+            *driver
+        }
+        Start::Prefix(prefix) => apply_fork(config, prefix.driver.state(), Mode::Fork)?,
+    };
+    d.advance(None, opts.checkpoints, opts.cancel)?;
+    Ok(d.finish())
+}
+
+/// Run one campaign: [`drain`] from a cold start, unwatched.
 pub fn run(config: &ScenarioConfig) -> Campaign {
-    run_with_queue(config, QueueBackend::default())
-}
-
-/// [`run`] with an explicit event-queue backend. Exists so `bench_sim`
-/// (and the differential tests) can pit the calendar queue against the
-/// reference binary heap on identical campaigns; the produced campaign
-/// is byte-identical across backends.
-pub fn run_with_queue(config: &ScenarioConfig, backend: QueueBackend) -> Campaign {
-    let mut d = Driver::with_backend(config.clone(), backend);
-    d.start();
-    d.drain_with(None, &mut |_, _| Ok(()), None)
-        .expect("no-op checkpoint sink cannot fail")
-}
-
-/// [`run`] polling a [`CancelToken`] once per tick batch. An un-canceled
-/// run is byte-identical to [`run`]; a canceled one returns a
-/// `canceled:` error (interrogate the token for which trigger fired).
-pub fn run_cancelable(config: &ScenarioConfig, cancel: &CancelToken) -> Result<Campaign, String> {
-    let mut d = Driver::new(config.clone());
-    d.start();
-    d.drain_with(None, &mut |_, _| Ok(()), Some(cancel))
-}
-
-/// Run one campaign, emitting a state snapshot to `sink` at every
-/// `every`-aligned sim-time boundary the event clock crosses. The sink
-/// receives the boundary time and the encoded snapshot; a sink error
-/// aborts the campaign (the caller decides whether a failed checkpoint
-/// write is fatal).
-///
-/// Checkpointing never mutates simulator state and never consumes a
-/// random draw, so the produced campaign is byte-identical to [`run`]
-/// regardless of cadence.
-pub fn run_checkpointed(
-    config: &ScenarioConfig,
-    every: SimDuration,
-    sink: SnapshotSink<'_>,
-) -> Result<Campaign, String> {
-    let mut d = Driver::new(config.clone());
-    d.start();
-    d.drain_with(Some(every), sink, None)
-}
-
-/// Resume a campaign from a snapshot produced by [`run_checkpointed`]
-/// under the *same* config, running it to completion. When `every` is
-/// `Some`, checkpointing continues from the resumed clock.
-///
-/// The resumed campaign is byte-identical to the uninterrupted same-seed
-/// run: the snapshot captures every piece of mutable driver state,
-/// including the exact positions of all RNG streams and the pending event
-/// queue with its FIFO tie-break counters.
-pub fn resume_checkpointed(
-    config: &ScenarioConfig,
-    snapshot: &[u8],
-    every: Option<SimDuration>,
-    sink: SnapshotSink<'_>,
-) -> Result<Campaign, String> {
-    let d = crate::snapshot::decode(config, snapshot)?;
-    d.drain_with(every, sink, None)
-}
-
-/// Run `config`'s campaign up to (but not including) sim-time `at` and
-/// return the encoded snapshot of that state. Byte-identical to the
-/// checkpoint [`run_checkpointed`] would emit at an `at`-aligned
-/// boundary: every event strictly before `at` is dispatched, the queue
-/// is left intact, and no random draw is consumed by the encoding.
-///
-/// This is the shared-prefix half of a warm start: sweep cells that
-/// agree on `(seed, prefix config)` pay this once and each continue via
-/// [`fork_with_config`].
-pub fn prefix_snapshot(config: &ScenarioConfig, at: SimTime) -> Vec<u8> {
-    let mut d = Driver::new(config.clone());
-    d.start();
-    d.run_until(at);
-    crate::snapshot::encode(&d)
-}
-
-/// Resume a snapshot under a **deliberately different** config — the
-/// escape hatch around the strict behavior fingerprint that
-/// [`resume_checkpointed`] enforces. Seed and topology must still match
-/// (they are structural: the snapshot's tables are indexed by them);
-/// every other knob — fault rates, breaker settings, retry budgets,
-/// workload shape — is taken from `config` and governs the campaign
-/// from the snapshot time onward. Arming the health loop across the
-/// fork starts fresh breakers; disarming drops the snapshot's breaker
-/// state.
-pub fn fork_with_config(
-    config: &ScenarioConfig,
-    snapshot: &[u8],
-    every: Option<SimDuration>,
-    sink: SnapshotSink<'_>,
-) -> Result<Campaign, String> {
-    let d = crate::snapshot::decode_forked(config, snapshot)?;
-    d.drain_with(every, sink, None)
+    drain(config, DrainOpts::default()).expect("an unwatched cold drain cannot fail")
 }
 
 /// One-shot reference for a warm-started sweep cell: run `base` up to
-/// `at`, then continue under `fork` to completion. Exactly equivalent to
-/// `fork_with_config(fork, &prefix_snapshot(base, at), ..)` — the CLI's
-/// `simulate --fork-at` uses this so a standalone run can reproduce any
-/// warm-started cell byte-for-byte.
+/// `at`, encode that state, decode it as a fork under `fork` and run it
+/// to completion. The CLI's `simulate --fork-at` uses this, so a
+/// standalone run reproduces any warm-started cell byte for byte — and,
+/// going through the snapshot codec, it is the oracle the sweep's
+/// in-memory forks are checked against.
 pub fn run_forked(
     base: &ScenarioConfig,
     fork: &ScenarioConfig,
     at: SimTime,
 ) -> Result<Campaign, String> {
-    fork_with_config(fork, &prefix_snapshot(base, at), None, &mut |_, _| Ok(()))
+    let encoded = SharedPrefix::new(base, at, None)?.encode();
+    let snapshot =
+        crate::snapshot::decode(fork, &encoded, Mode::Fork).map_err(|e| e.to_string())?;
+    drain(
+        fork,
+        DrainOpts {
+            start: Start::Snapshot(snapshot),
+            ..DrainOpts::default()
+        },
+    )
 }
 
-/// [`shared_prefix`] polling a [`CancelToken`] while computing the
-/// prefix, so a sweep deadline or SIGTERM can abort even the warm-start
-/// phase. An un-canceled prefix is byte-identical to [`shared_prefix`].
-pub fn shared_prefix_cancelable(
-    config: &ScenarioConfig,
-    at: SimTime,
-    cancel: &CancelToken,
-) -> Result<SharedPrefix, String> {
-    let mut d = Driver::new(config.clone());
-    d.start();
-    d.run_until_cancelable(at, Some(cancel))?;
-    Ok(SharedPrefix { driver: d })
-}
-
-/// A fully materialized warm-start prefix: the live driver state of
-/// `config`'s campaign at sim-time `at`, reusable across any number of
-/// forked continuations. The in-memory sibling of [`prefix_snapshot`]:
-/// forking from it restores exactly the state the snapshot codec
-/// round-trips — [`SharedPrefix::fork`] is byte-identical to
-/// [`fork_with_config`] over the encoded prefix at the same boundary —
-/// but costs a memcpy-scale clone per fork instead of a parse.
+/// A fully materialized warm-start prefix: the live driver state of a
+/// campaign at sim-time `at`, reusable across any number of forked
+/// continuations ([`Start::Prefix`]). Sweep cells that agree on `(seed,
+/// prefix config)` pay for it once.
 pub struct SharedPrefix {
     driver: Driver,
 }
 
-/// Run `config`'s campaign up to (but not including) `at` and keep the
-/// live driver state for reuse. Sweep cells that agree on `(seed,
-/// prefix config)` pay this once and each continue via
-/// [`SharedPrefix::fork`].
-pub fn shared_prefix(config: &ScenarioConfig, at: SimTime) -> SharedPrefix {
-    let mut d = Driver::new(config.clone());
-    d.start();
-    d.run_until(at);
-    SharedPrefix { driver: d }
-}
-
 impl SharedPrefix {
-    /// The prefix config this state was produced under.
-    pub fn config(&self) -> &ScenarioConfig {
-        &self.driver.config
+    /// Run `config`'s campaign up to (but not including) sim-time `at`:
+    /// every event strictly before `at` is dispatched and the queue is
+    /// left intact from `at` on — the state a checkpoint boundary at `at`
+    /// observes. With a token, a deadline or SIGTERM aborts the prefix
+    /// with a `canceled:` error; an un-canceled prefix is byte-identical
+    /// to a token-free one.
+    pub fn new(
+        config: &ScenarioConfig,
+        at: SimTime,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Self, String> {
+        let mut driver = Driver::new(config.clone(), QueueBackend::default());
+        driver.start();
+        driver.advance(Some(at), None, cancel)?;
+        Ok(SharedPrefix { driver })
     }
 
-    /// Encode the prefix as a snapshot — what [`prefix_snapshot`] would
-    /// return for the same `(config, at)`.
+    /// Encode the prefix as a snapshot: byte-identical to the checkpoint
+    /// a checkpointed drain emits at an `at`-aligned boundary.
     pub fn encode(&self) -> Vec<u8> {
         crate::snapshot::encode(&self.driver)
     }
+}
 
-    /// Continue this prefix to completion under a (possibly different)
-    /// config — the in-memory equivalent of [`fork_with_config`], with
-    /// the same rules: seed and topology are structural and must match;
-    /// every other knob is taken from `config` from the prefix time
-    /// onward; arming the health loop starts fresh breakers, disarming
-    /// drops the prefix's breaker state.
-    pub fn fork(&self, config: &ScenarioConfig) -> Result<Campaign, String> {
-        self.driver
-            .fork_clone(config)?
-            .drain_with(None, &mut |_, _| Ok(()), None)
+/// The config a [`DriverState`] was produced under, as far as a resume
+/// or fork must check it: the legible fields drive the human-readable
+/// mismatch messages, the two hashes are the actual guarantees —
+/// `behavior_fp` covers every knob, `structural_fp` only what a
+/// deliberate fork must still agree on.
+#[derive(Clone, Copy)]
+pub(crate) struct Origin {
+    pub(crate) seed: u64,
+    pub(crate) duration_ms: i64,
+    pub(crate) initial_datasets: u64,
+    pub(crate) n_sites: u32,
+    pub(crate) behavior_fp: u64,
+    pub(crate) structural_fp: u64,
+}
+
+impl Origin {
+    pub(crate) fn of(config: &ScenarioConfig, topology: &GridTopology) -> Self {
+        Origin {
+            seed: config.seed,
+            duration_ms: config.duration.as_millis(),
+            initial_datasets: config.initial_datasets as u64,
+            n_sites: topology.n_sites() as u32,
+            behavior_fp: config.behavior_fingerprint(),
+            structural_fp: config.structural_fingerprint(),
+        }
+    }
+}
+
+/// Every piece of mutable driver state a snapshot carries, and all that
+/// a resume or fork restores: the single list of carried fields. The
+/// snapshot decoder builds it from bytes, [`Driver::state`] copies it
+/// out of a live driver, and [`apply_fork`] is the one way back to a
+/// driver. Everything else a driver holds is rebuilt from the config.
+#[derive(Clone)]
+pub(crate) struct DriverState {
+    pub(crate) origin: Origin,
+    /// Clock and pending events with their FIFO tie-break counters,
+    /// sorted by `(time, seq)`.
+    pub(crate) now: SimTime,
+    pub(crate) next_seq: u64,
+    pub(crate) queue: Vec<(SimTime, u64, Event)>,
+    pub(crate) rng_task: SimRng,
+    pub(crate) rng_job: SimRng,
+    pub(crate) rng_bg: SimRng,
+    /// The transfer engine's mutable half; its fault oracle and retry
+    /// policy come from the config.
+    pub(crate) engine: TransferEngineSnapshot,
+    pub(crate) catalog: ReplicaCatalog,
+    pub(crate) rules: RuleEngine,
+    /// Breaker state; `None` when the health loop was disarmed.
+    pub(crate) health: Option<HealthSnapshot>,
+    pub(crate) queued: Vec<u32>,
+    pub(crate) running: Vec<u32>,
+    pub(crate) compute_slots: Vec<BinaryHeap<Reverse<i64>>>,
+    pub(crate) tasks: Vec<TaskCtx>,
+    pub(crate) finished: Vec<(Job, u32, bool)>,
+    pub(crate) transfers: Vec<(TransferEvent, bool)>,
+    pub(crate) next_pandaid: u64,
+    pub(crate) next_taskid: u64,
+    pub(crate) next_dio_id: u64,
+    pub(crate) next_output_seq: u64,
+    pub(crate) events_processed: u64,
+}
+
+/// The one fork rule: a driver for `config` that continues `state`.
+/// Both ways of continuing saved state end here — a decoded snapshot and
+/// an in-memory warm-start fork.
+///
+/// Seed and topology are structural and must match the state's origin
+/// (its tables are indexed by them). Under [`Mode::Resume`] every other
+/// knob must match too; under [`Mode::Fork`] fault rates, breaker
+/// settings, retry budgets and workload shape are taken from `config`
+/// and govern the campaign from the state's clock on. Across a fork,
+/// arming the health loop starts fresh breakers and disarming drops the
+/// state's breaker state; a resume must agree with the state.
+pub(crate) fn apply_fork(
+    config: &ScenarioConfig,
+    state: DriverState,
+    mode: Mode,
+) -> Result<Driver, String> {
+    let DriverState {
+        origin,
+        now,
+        next_seq,
+        queue,
+        rng_task,
+        rng_job,
+        rng_bg,
+        engine,
+        catalog,
+        rules,
+        health,
+        queued,
+        running,
+        compute_slots,
+        tasks,
+        finished,
+        transfers,
+        next_pandaid,
+        next_taskid,
+        next_dio_id,
+        next_output_seq,
+        events_processed,
+    } = state;
+    // A fresh driver supplies all config-derived state — the fault
+    // oracle, retry policy, breaker thresholds and samplers are exactly
+    // where a fork's knobs take effect. `Driver::new` neither seeds the
+    // catalog nor pushes events; that is `start()`, which continuing
+    // state must never run.
+    let mut d = Driver::new(config.clone(), QueueBackend::default());
+    let n_sites = d.topology.n_sites();
+    if origin.structural_fp != config.structural_fingerprint() || origin.n_sites as usize != n_sites
+    {
+        return Err(format!(
+            "snapshot structural fingerprint mismatch: taken under seed {} with {} sites — \
+             {} config has seed {} and {n_sites} sites (seed and topology can never change \
+             across a resume or fork)",
+            origin.seed,
+            origin.n_sites,
+            match mode {
+                Mode::Fork => "fork",
+                Mode::Resume => "resume",
+            },
+            config.seed,
+        ));
+    }
+    if mode == Mode::Resume {
+        if origin.seed != config.seed
+            || origin.duration_ms != config.duration.as_millis()
+            || origin.initial_datasets != config.initial_datasets as u64
+        {
+            return Err(format!(
+                "snapshot fingerprint mismatch: taken under seed {}, duration {} ms, \
+                 {} datasets — resume config has seed {}, duration {} ms, {} datasets",
+                origin.seed,
+                origin.duration_ms,
+                origin.initial_datasets,
+                config.seed,
+                config.duration.as_millis(),
+                config.initial_datasets,
+            ));
+        }
+        if origin.behavior_fp != config.behavior_fingerprint() {
+            return Err(format!(
+                "snapshot behavior fingerprint mismatch ({:#018x} vs {:#018x}): the resume \
+                 config differs in a behavior-affecting knob (fault rates, breaker settings, \
+                 retry budget, workload, corruption, or traffic fractions); resuming would \
+                 silently replay divergent state — use the deliberate fork entry point if the \
+                 change is intended",
+                origin.behavior_fp,
+                config.behavior_fingerprint()
+            ));
+        }
     }
 
-    /// [`SharedPrefix::fork`] polling a [`CancelToken`] once per tick
-    /// batch. An un-canceled fork is byte-identical to [`fork`].
-    pub fn fork_cancelable(
-        &self,
-        config: &ScenarioConfig,
-        cancel: &CancelToken,
-    ) -> Result<Campaign, String> {
-        self.driver
-            .fork_clone(config)?
-            .drain_with(None, &mut |_, _| Ok(()), Some(cancel))
+    d.engine
+        .restore(engine)
+        .map_err(|e| format!("transfer engine: {e}"))?;
+    if let Some(h) = &health {
+        if h.sites.len() != n_sites {
+            return Err(format!(
+                "health snapshot covers {} sites, topology has {n_sites}",
+                h.sites.len()
+            ));
+        }
     }
+    d.health = match (health, config.health.enabled) {
+        (None, false) => None,
+        (Some(snap), true) => Some(HealthMonitor::restore(config.health.clone(), snap)),
+        (None, true) if mode == Mode::Fork => {
+            Some(HealthMonitor::new(config.health.clone(), n_sites))
+        }
+        (Some(_), false) if mode == Mode::Fork => None,
+        (snap, armed) => {
+            return Err(format!(
+                "health loop mismatch: snapshot armed = {}, config armed = {armed}",
+                snap.is_some()
+            ))
+        }
+    };
+    let slots_fit = compute_slots.len() == d.compute_slots.len()
+        && (compute_slots.iter().zip(&d.compute_slots)).all(|(a, b)| a.len() == b.len());
+    if queued.len() != n_sites || running.len() != n_sites || !slots_fit {
+        return Err(format!(
+            "load and slot tables do not fit the topology: {} queued, {} running, \
+             {} slot rows (per-site slot counts must match too) for {n_sites} sites",
+            queued.len(),
+            running.len(),
+            compute_slots.len()
+        ));
+    }
+
+    d.queue = EventQueue::restore(queue, next_seq, now);
+    d.rng_task = rng_task;
+    d.rng_job = rng_job;
+    d.rng_bg = rng_bg;
+    d.catalog = catalog;
+    d.rules = rules;
+    d.queued = queued;
+    d.running = running;
+    d.compute_slots = compute_slots;
+    d.tasks = tasks;
+    d.finished = finished;
+    d.transfers = transfers;
+    d.next_pandaid = next_pandaid;
+    d.next_taskid = next_taskid;
+    d.next_dio_id = next_dio_id;
+    d.next_output_seq = next_output_seq;
+    d.events_processed = events_processed;
+    Ok(d)
 }
 
 pub(crate) struct Driver {
@@ -417,8 +573,8 @@ pub(crate) struct Driver {
     pub(crate) events_processed: u64,
     // Reusable hot-loop scratch (never snapshotted: both are drained
     // empty between events, so a checkpoint boundary never sees content).
-    scratch_events: Vec<TransferEvent>,
-    scratch_files: Vec<FileId>,
+    pub(crate) scratch_events: Vec<TransferEvent>,
+    pub(crate) scratch_files: Vec<FileId>,
     // RNG streams.
     pub(crate) rng_task: SimRng,
     pub(crate) rng_job: SimRng,
@@ -426,11 +582,7 @@ pub(crate) struct Driver {
 }
 
 impl Driver {
-    pub(crate) fn new(config: ScenarioConfig) -> Self {
-        Self::with_backend(config, QueueBackend::default())
-    }
-
-    pub(crate) fn with_backend(config: ScenarioConfig, backend: QueueBackend) -> Self {
+    pub(crate) fn new(config: ScenarioConfig, backend: QueueBackend) -> Self {
         let rngs = RngFactory::new(config.seed);
         let topology = GridTopology::generate(&rngs, &config.topology);
         let bw = BandwidthModel::new(&rngs, &topology);
@@ -494,67 +646,40 @@ impl Driver {
         }
     }
 
-    /// Clone this driver's mutable state onto a fresh `config`-derived
-    /// driver — the in-memory mirror of `snapshot::decode_forked`
-    /// (construct `Driver::new(config)`, then overwrite exactly the
-    /// state the snapshot codec carries). Kept in lockstep with the
-    /// codec: a field added to `encode`/`decode_inner` must be cloned
-    /// here too — the sweep's byte-identity tests against [`run_forked`]
-    /// catch a miss.
-    pub(crate) fn fork_clone(&self, config: &ScenarioConfig) -> Result<Driver, String> {
-        if config.structural_fingerprint() != self.config.structural_fingerprint() {
-            return Err(format!(
-                "prefix fork structural fingerprint mismatch: prefix ran under seed {} — \
-                 fork config has seed {} (seed and topology can never change across a fork)",
-                self.config.seed, config.seed
-            ));
+    /// Copy this driver's carried state out — the one copy an in-memory
+    /// fork makes. The record tables keep their capacity (a plain `clone`
+    /// would trim it to the length), so a continuation appends into room
+    /// the prefix already grew instead of regrowing and copying.
+    pub(crate) fn state(&self) -> DriverState {
+        DriverState {
+            origin: Origin::of(&self.config, &self.topology),
+            now: self.queue.now(),
+            next_seq: self.queue.next_seq(),
+            queue: self
+                .queue
+                .snapshot_entries()
+                .into_iter()
+                .map(|(t, seq, ev)| (t, seq, ev.clone()))
+                .collect(),
+            rng_task: self.rng_task.clone(),
+            rng_job: self.rng_job.clone(),
+            rng_bg: self.rng_bg.clone(),
+            engine: self.engine.snapshot(),
+            catalog: self.catalog.clone(),
+            rules: self.rules.clone(),
+            health: self.health.as_ref().map(HealthMonitor::snapshot),
+            queued: self.queued.clone(),
+            running: self.running.clone(),
+            compute_slots: self.compute_slots.clone(),
+            tasks: clone_with_capacity(&self.tasks),
+            finished: clone_with_capacity(&self.finished),
+            transfers: clone_with_capacity(&self.transfers),
+            next_pandaid: self.next_pandaid,
+            next_taskid: self.next_taskid,
+            next_dio_id: self.next_dio_id,
+            next_output_seq: self.next_output_seq,
+            events_processed: self.events_processed,
         }
-        let mut d = Driver::new(config.clone());
-        // Clock + event queue (FIFO tie-break counters included).
-        let entries = self
-            .queue
-            .snapshot_entries()
-            .into_iter()
-            .map(|(t, seq, ev)| (t, seq, ev.clone()))
-            .collect();
-        d.queue = EventQueue::restore(entries, self.queue.next_seq(), self.queue.now());
-        // Driver RNG streams.
-        d.rng_task = self.rng_task.clone();
-        d.rng_job = self.rng_job.clone();
-        d.rng_bg = self.rng_bg.clone();
-        // Transfer engine: mutable state from the prefix; fault oracle
-        // and retry policy stay config-derived, which is where the
-        // forked knobs take effect.
-        d.engine
-            .restore(self.engine.snapshot())
-            .map_err(|e| format!("transfer engine: {e}"))?;
-        d.catalog = self.catalog.clone();
-        d.rules = self.rules.clone();
-        // Same arm/disarm matrix as a forked decode: arming starts fresh
-        // breakers, disarming drops the prefix's breaker state.
-        d.health = match (&self.health, config.health.enabled) {
-            (None, false) | (Some(_), false) => None,
-            (Some(h), true) => Some(HealthMonitor::restore(config.health.clone(), h.snapshot())),
-            (None, true) => Some(HealthMonitor::new(
-                config.health.clone(),
-                d.topology.n_sites(),
-            )),
-        };
-        d.queued = self.queued.clone();
-        d.running = self.running.clone();
-        d.compute_slots = self.compute_slots.clone();
-        // The record tables keep the prefix's capacity (a plain `clone`
-        // would trim it to the length), so the continuation appends into
-        // room the prefix already grew instead of regrowing and copying.
-        d.tasks = clone_with_capacity(&self.tasks);
-        d.finished = clone_with_capacity(&self.finished);
-        d.transfers = clone_with_capacity(&self.transfers);
-        d.next_pandaid = self.next_pandaid;
-        d.next_taskid = self.next_taskid;
-        d.next_dio_id = self.next_dio_id;
-        d.next_output_seq = self.next_output_seq;
-        d.events_processed = self.events_processed;
-        Ok(d)
     }
 
     /// Weighted site draw (activity-weighted; used for replica placement
@@ -671,72 +796,40 @@ impl Driver {
         )
     }
 
-    /// Dispatch every event strictly before `at`, leaving the queue
-    /// intact from `at` onward. The resulting state is what a
-    /// checkpoint boundary at `at` observes (snapshots are taken with
-    /// nothing popped), which is what makes [`prefix_snapshot`]
-    /// byte-identical to a [`run_checkpointed`] emission.
-    pub(crate) fn run_until(&mut self, at: SimTime) {
-        self.run_until_cancelable(at, None)
-            .expect("cancel-free prefix run cannot abort")
-    }
-
-    /// [`Driver::run_until`] polling a [`CancelToken`] once per tick
-    /// batch — same cadence (and same stride for the wall-clock check)
-    /// as the full drain.
-    pub(crate) fn run_until_cancelable(
+    /// The event loop: dispatch events in `(time, seq)` order until the
+    /// queue is empty or, with a `stop` time, until the next event is at
+    /// or after `stop`. That event stays queued, so a prefix run to
+    /// `stop` leaves the state a checkpoint boundary at `stop` observes.
+    ///
+    /// Same-time events are dispatched as one tick batch, and everything
+    /// else is checked once per batch:
+    /// - the stop time;
+    /// - the token: its flag and probe every batch, its wall-clock
+    ///   deadline every [`CANCEL_STRIDE`] batches (serve's mid-matcher
+    ///   pattern). Cancellation aborts with a `canceled:` error between
+    ///   events, never mid-dispatch, and consumes no random draw;
+    /// - the checkpoint cadence: a snapshot is taken with the queue
+    ///   intact (nothing popped), so a resume replays the
+    ///   boundary-crossing event itself. A boundary can never fall
+    ///   between two same-time events, so batching skips nothing.
+    pub(crate) fn advance(
         &mut self,
-        at: SimTime,
+        stop: Option<SimTime>,
+        mut checkpoints: Option<(SimDuration, SnapshotSink<'_>)>,
         cancel: Option<&CancelToken>,
     ) -> Result<(), String> {
-        let mut strided = 0u32;
-        while let Some(peek) = self.queue.peek_time() {
-            if peek >= at {
-                break;
-            }
-            if let Some(tok) = cancel {
-                strided += 1;
-                if tok.fast_canceled()
-                    || (strided >= CANCEL_STRIDE && {
-                        strided = 0;
-                        tok.deadline_exceeded()
-                    })
-                {
-                    return Err(self.cancel_error());
-                }
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event exists");
-            self.dispatch(t, ev);
-        }
-        Ok(())
-    }
-
-    /// Drain the event queue to completion, snapshotting between events
-    /// whenever the clock is about to cross an `every`-aligned boundary.
-    /// Snapshots are taken with the queue intact (nothing popped) so a
-    /// resume replays the boundary-crossing event itself.
-    ///
-    /// When `cancel` is provided it is polled once per tick batch: the
-    /// shared flag and probe on every batch, the wall-clock deadline
-    /// every [`CANCEL_STRIDE`] batches (serve's mid-matcher pattern).
-    /// Cancellation aborts with a `canceled:` error between events —
-    /// never mid-dispatch — and consumes no random draw, so an
-    /// un-canceled run is byte-identical to a token-free one.
-    pub(crate) fn drain_with(
-        mut self,
-        every: Option<SimDuration>,
-        sink: SnapshotSink<'_>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Campaign, String> {
         // First boundary strictly after the current clock (EPOCH on a cold
         // start; the restored `now` on a resume).
-        let mut next_cp = every.map(|e| {
-            let em = e.as_millis().max(1);
+        let mut next_cp = checkpoints.as_ref().map(|(every, _)| {
+            let em = every.as_millis().max(1);
             SimTime::from_millis((self.queue.now().as_millis() / em + 1) * em)
         });
         let mut strided = 0u32;
-
-        loop {
+        let mut next = self.queue.peek_time();
+        while let Some(t) = next {
+            if stop.is_some_and(|stop| t >= stop) {
+                break;
+            }
             if let Some(tok) = cancel {
                 strided += 1;
                 if tok.fast_canceled()
@@ -748,38 +841,29 @@ impl Driver {
                     return Err(self.cancel_error());
                 }
             }
-            if let (Some(e), Some(cp)) = (every, next_cp) {
-                if let Some(peek) = self.queue.peek_time() {
-                    if peek >= cp {
-                        let bytes = crate::snapshot::encode(&self);
-                        sink(cp, &bytes)?;
-                        // One snapshot per crossing, however many
-                        // boundaries the gap spans: the state at each of
-                        // them is identical (no event fired in between).
-                        let mut n = cp;
-                        while n <= peek {
-                            n += e;
-                        }
-                        next_cp = Some(n);
+            if let (Some((every, sink)), Some(cp)) = (checkpoints.as_mut(), next_cp) {
+                if t >= cp {
+                    sink(cp, &crate::snapshot::encode(self))?;
+                    // One snapshot per crossing, however many boundaries
+                    // the gap spans: the state at each of them is
+                    // identical (no event fired in between).
+                    let mut n = cp;
+                    while n <= t {
+                        n += *every;
                     }
+                    next_cp = Some(n);
                 }
             }
-            let Some((t, ev)) = self.queue.pop() else {
-                break;
-            };
-            self.dispatch(t, ev);
-            // Batch the rest of the tick: a checkpoint boundary can never
-            // fall between two same-time events (next_cp is advanced past
-            // `peek`, and boundaries are strictly increasing), so popping
-            // them without re-checking `next_cp` is behavior-identical —
-            // and skips a boundary comparison per event.
-            while self.queue.peek_time() == Some(t) {
+            loop {
                 let (_, ev) = self.queue.pop().expect("peeked event exists");
                 self.dispatch(t, ev);
+                next = self.queue.peek_time();
+                if next != Some(t) {
+                    break;
+                }
             }
         }
-
-        Ok(self.finish())
+        Ok(())
     }
 
     fn dispatch(&mut self, t: SimTime, ev: Event) {
@@ -1713,6 +1797,22 @@ mod tests {
         run(&ScenarioConfig::small())
     }
 
+    fn run_with_queue(config: &ScenarioConfig, backend: QueueBackend) -> Campaign {
+        let opts = DrainOpts {
+            backend,
+            ..DrainOpts::default()
+        };
+        drain(config, opts).expect("an unwatched drain cannot fail")
+    }
+
+    fn run_cancelable(config: &ScenarioConfig, cancel: &CancelToken) -> Result<Campaign, String> {
+        let opts = DrainOpts {
+            cancel: Some(cancel),
+            ..DrainOpts::default()
+        };
+        drain(config, opts)
+    }
+
     #[test]
     fn calendar_and_heap_queues_export_identical_campaigns() {
         let config = ScenarioConfig::small();
@@ -1736,8 +1836,8 @@ mod tests {
         assert_eq!(plain.store, watched.store);
         // Same for the warm-start prefix path.
         let at = SimTime::from_hours(2);
-        let cold = shared_prefix(&config, at).encode();
-        let guarded = shared_prefix_cancelable(&config, at, &token)
+        let cold = SharedPrefix::new(&config, at, None).unwrap().encode();
+        let guarded = SharedPrefix::new(&config, at, Some(&token))
             .expect("token never fired")
             .encode();
         assert_eq!(cold, guarded);
@@ -1767,7 +1867,7 @@ mod tests {
         assert!(err.starts_with("canceled:"), "{err}");
         assert!(expired.deadline_exceeded());
         // Cancellation also reaches the prefix phase.
-        let err = shared_prefix_cancelable(&config, SimTime::from_hours(2), &token)
+        let err = SharedPrefix::new(&config, SimTime::from_hours(2), Some(&token))
             .err()
             .expect("canceled prefix must abort");
         assert!(err.starts_with("canceled:"), "{err}");

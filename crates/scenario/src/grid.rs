@@ -7,8 +7,8 @@
 //! applied) and `config` (swept knobs applied). The pair is what makes
 //! checkpoint warm-starts legal: cells sharing a `base` share the
 //! campaign prefix exactly, so a sweep pays the prefix once per
-//! `(preset, seed)` group and each cell continues via
-//! [`crate::driver::fork_with_config`] — its swept knobs taking effect
+//! `(preset, seed)` group and each cell continues as a fork of it
+//! ([`crate::driver::Start::Prefix`]) — its swept knobs taking effect
 //! from the divergence time, identically to a standalone
 //! [`crate::driver::run_forked`] of the same pair.
 //!

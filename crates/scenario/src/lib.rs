@@ -26,9 +26,7 @@ pub mod snapshot;
 
 pub use config::ScenarioConfig;
 pub use driver::{
-    fork_with_config, prefix_snapshot, resume_checkpointed, run, run_cancelable, run_checkpointed,
-    run_forked, run_with_queue, shared_prefix, shared_prefix_cancelable, Campaign, CancelToken,
-    SharedPrefix,
+    drain, run, run_forked, Campaign, CancelToken, DrainOpts, SharedPrefix, SnapshotSink, Start,
 };
 pub use grid::{BreakerSetting, GridCell, PresetAxis, SweepGrid};
 pub use snapshot::SNAPSHOT_VERSION;

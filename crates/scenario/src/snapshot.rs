@@ -1,16 +1,18 @@
 //! Deterministic checkpoint snapshots of a mid-flight campaign.
 //!
-//! [`encode`] serializes **every piece of mutable driver state** — the
-//! pending event queue (with its FIFO tie-break counters), the exact
-//! positions of all RNG streams, the transfer engine (slot clocks, its two
-//! RNG streams, path counters), the replica catalog, replication rules,
-//! circuit-breaker state, in-progress task/job/transfer accumulators, and
-//! the id counters — into a self-contained byte payload. [`decode`]
-//! rebuilds a [`Driver`] from a payload plus the *same* scenario config:
-//! everything derivable from the config (topology, bandwidth oracle, fault
-//! oracle, samplers, brokerage) is reconstructed rather than serialized,
-//! which keeps snapshots small and makes it impossible for a stale
-//! checkpoint to smuggle in divergent tuning.
+//! A snapshot is the byte image of a `DriverState`: **every piece of
+//! mutable driver state** — the pending event queue (with its FIFO
+//! tie-break counters), the exact positions of all RNG streams, the
+//! transfer engine (slot clocks, its two RNG streams, path counters), the
+//! replica catalog, replication rules, circuit-breaker state, in-progress
+//! task/job/transfer accumulators, and the id counters — plus the
+//! fingerprints of the config it was taken under. [`decode`] rebuilds the
+//! state from a payload and hands it to the driver's one fork rule
+//! (`apply_fork`) under a config and a [`Mode`]: everything derivable from
+//! the config (topology, bandwidth oracle, fault oracle, samplers,
+//! brokerage) is reconstructed rather than serialized, which keeps
+//! snapshots small and makes it impossible for a stale checkpoint to
+//! smuggle in divergent tuning.
 //!
 //! The resumed campaign is byte-identical to the uninterrupted same-seed
 //! run; `crates/scenario` locks this with tests and the CLI locks it again
@@ -25,10 +27,10 @@
 //! corrupting (or panicking) a resumed campaign.
 
 use crate::config::ScenarioConfig;
-use crate::driver::{Driver, Event, PendingJob, TaskCtx};
+use crate::driver::{apply_fork, Driver, DriverState, Event, Origin, PendingJob, TaskCtx};
 use dmsa_gridnet::{
-    BreakerSnapshot, BreakerState, HealthCounters, HealthMonitor, HealthSnapshot, HealthSubject,
-    OpenEpisode, RseId, SiteId,
+    BreakerSnapshot, BreakerState, HealthCounters, HealthSnapshot, HealthSubject, OpenEpisode,
+    RseId, SiteId,
 };
 use dmsa_panda_sim::task::TaskProgress;
 use dmsa_panda_sim::{IoMode, Job, JobId, JobStatus, TaskId, TaskKind, TaskStatus};
@@ -40,7 +42,7 @@ use dmsa_rucio_sim::{
 };
 use dmsa_simcore::codec::{CodecError, Reader, Writer};
 use dmsa_simcore::interval::Interval;
-use dmsa_simcore::{EventQueue, SimDuration, SimRng, SimTime, Sym, SymbolTable};
+use dmsa_simcore::{SimDuration, SimRng, SimTime, Sym, SymbolTable};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -56,16 +58,16 @@ use std::collections::BinaryHeap;
 /// by the deliberate-fork path.
 pub const SNAPSHOT_VERSION: u32 = 3;
 
-/// How strictly [`decode`] matches the resume config against the config
-/// the snapshot was taken under.
+/// How strictly a snapshot (or a warm-start prefix) must match the config
+/// it continues under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ResumeMode {
+pub enum Mode {
     /// Resume: every behavior-affecting knob must match, otherwise the
     /// resumed campaign would silently replay divergent state.
-    Strict,
-    /// Deliberate fork ([`fork_with_config`]): only the structural knobs
-    /// (seed, topology) must match; fault/retry/health/workload knobs may
-    /// differ and take effect from the snapshot time onward.
+    Resume,
+    /// Deliberate fork: only the structural knobs (seed, topology) must
+    /// match; fault/retry/health/workload knobs may differ and take
+    /// effect from the snapshot time onward.
     Fork,
 }
 
@@ -73,54 +75,83 @@ enum ResumeMode {
 // Encode
 // ---------------------------------------------------------------------------
 
+/// Encode a live driver's [`DriverState`] — written field by field
+/// straight from the driver, so a checkpoint copies nothing first.
 pub(crate) fn encode(d: &Driver) -> Vec<u8> {
+    // Every driver field is either written here or rebuilt from the
+    // config on decode: a field added to `Driver` fails to compile here
+    // until it is one or the other.
+    let Driver {
+        config,
+        topology,
+        queue,
+        rng_task,
+        rng_job,
+        rng_bg,
+        engine,
+        catalog,
+        rules,
+        health,
+        queued,
+        running,
+        compute_slots,
+        tasks,
+        finished,
+        transfers,
+        next_pandaid,
+        next_taskid,
+        next_dio_id,
+        next_output_seq,
+        events_processed,
+        // Config-derived, or drained empty between events.
+        rngs: _,
+        bw: _,
+        reaper_policy: _,
+        broker: _,
+        workload: _,
+        pilot: _,
+        cum_weights: _,
+        scratch_events: _,
+        scratch_files: _,
+    } = d;
     let mut w = Writer::new();
     w.put_u32(SNAPSHOT_VERSION);
 
     // Config fingerprint: enough to catch a resume under the wrong
-    // scenario before any state is misinterpreted. The legible fields
-    // (seed/duration/datasets/sites) drive the human-readable mismatch
-    // message; the two hashes are the actual guarantees — `behavior`
-    // covers every knob, `structural` only what a deliberate fork must
-    // still agree on.
-    w.put_u64(d.config.seed);
-    w.put_i64(d.config.duration.as_millis());
-    w.put_u64(d.config.initial_datasets as u64);
-    w.put_u32(d.topology.n_sites() as u32);
-    w.put_u64(d.config.behavior_fingerprint());
-    w.put_u64(d.config.structural_fingerprint());
+    // scenario before any state is misinterpreted.
+    let origin = Origin::of(config, topology);
+    w.put_u64(origin.seed);
+    w.put_i64(origin.duration_ms);
+    w.put_u64(origin.initial_datasets);
+    w.put_u32(origin.n_sites);
+    w.put_u64(origin.behavior_fp);
+    w.put_u64(origin.structural_fp);
 
     // Clock + event queue.
-    w.put_i64(d.queue.now().as_millis());
-    w.put_u64(d.queue.next_seq());
-    let entries = d.queue.snapshot_entries();
-    w.put_seq_len(entries.len());
-    for (t, seq, ev) in entries {
-        w.put_i64(t.as_millis());
+    w.put_i64(queue.now().as_millis());
+    w.put_u64(queue.next_seq());
+    put_seq(&mut w, &queue.snapshot_entries(), |w, &(t, seq, ev)| {
+        put_time(w, t);
         w.put_u64(seq);
-        put_event(&mut w, ev);
-    }
+        put_event(w, ev);
+    });
 
     // Driver RNG streams.
-    put_rng(&mut w, &d.rng_task);
-    put_rng(&mut w, &d.rng_job);
-    put_rng(&mut w, &d.rng_bg);
+    put_rng(&mut w, rng_task);
+    put_rng(&mut w, rng_job);
+    put_rng(&mut w, rng_bg);
 
     // Transfer engine.
-    put_engine(&mut w, &d.engine.snapshot());
+    put_engine(&mut w, &engine.snapshot());
 
     // Replica catalog.
-    put_catalog(&mut w, &d.catalog);
+    put_catalog(&mut w, catalog);
 
     // Replication rules.
-    let rules = d.rules.rules();
-    w.put_seq_len(rules.len());
-    for r in rules {
-        put_rule(&mut w, r);
-    }
+    put_seq(&mut w, rules.rules(), put_rule);
 
     // Circuit breakers.
-    match d.health.as_ref() {
+    match health {
         None => w.put_bool(false),
         Some(m) => {
             w.put_bool(true);
@@ -129,47 +160,38 @@ pub(crate) fn encode(d: &Driver) -> Vec<u8> {
     }
 
     // Brokerage load feedback + compute slots.
-    put_u32_seq(&mut w, &d.queued);
-    put_u32_seq(&mut w, &d.running);
-    w.put_seq_len(d.compute_slots.len());
-    for heap in &d.compute_slots {
+    put_seq(&mut w, queued, |w, x| w.put_u32(*x));
+    put_seq(&mut w, running, |w, x| w.put_u32(*x));
+    put_seq(&mut w, compute_slots, |w, heap| {
         let mut times: Vec<i64> = heap.iter().map(|Reverse(t)| *t).collect();
         times.sort_unstable();
-        w.put_seq_len(times.len());
-        for t in times {
-            w.put_i64(t);
-        }
-    }
+        put_seq(w, &times, |w, t| w.put_i64(*t));
+    });
 
     // Task contexts.
-    w.put_seq_len(d.tasks.len());
-    for t in &d.tasks {
-        put_task_ctx(&mut w, t);
-    }
+    put_seq(&mut w, tasks, put_task_ctx);
 
     // Finished jobs.
-    w.put_seq_len(d.finished.len());
-    for (job, task_idx, recorded_upload) in &d.finished {
-        put_job(&mut w, job);
+    put_seq(&mut w, finished, |w, (job, task_idx, recorded_upload)| {
+        put_job(w, job);
         w.put_u32(*task_idx);
         w.put_bool(*recorded_upload);
-    }
+    });
 
     // Ground-truth transfer events.
-    w.put_seq_len(d.transfers.len());
-    for (ev, recorded) in &d.transfers {
-        put_transfer_event(&mut w, ev);
+    put_seq(&mut w, transfers, |w, (ev, recorded)| {
+        put_transfer_event(w, ev);
         w.put_bool(*recorded);
-    }
+    });
 
     // Id counters.
-    w.put_u64(d.next_pandaid);
-    w.put_u64(d.next_taskid);
-    w.put_u64(d.next_dio_id);
-    w.put_u64(d.next_output_seq);
+    w.put_u64(*next_pandaid);
+    w.put_u64(*next_taskid);
+    w.put_u64(*next_dio_id);
+    w.put_u64(*next_output_seq);
 
     // Delivered-event counter (v2).
-    w.put_u64(d.events_processed);
+    w.put_u64(*events_processed);
 
     w.into_bytes()
 }
@@ -178,32 +200,39 @@ pub(crate) fn encode(d: &Driver) -> Vec<u8> {
 // Decode
 // ---------------------------------------------------------------------------
 
-pub(crate) fn decode(config: &ScenarioConfig, bytes: &[u8]) -> Result<Driver, String> {
-    let mut r = Reader::new(bytes);
-    decode_inner(config, &mut r, ResumeMode::Strict).map_err(|e| e.to_string())
+/// A snapshot decoded and checked against a config, ready to run:
+/// [`crate::Start::Snapshot`] continues it.
+pub struct CheckedSnapshot {
+    pub(crate) driver: Box<Driver>,
 }
 
-/// Decode a snapshot for a **deliberate config fork**: the escape hatch
-/// the sweep's warm-start path uses. Only the structural fingerprint
-/// (seed + topology) must match the snapshot; every other knob — fault
-/// rates, breaker settings, retry budgets, workload shape — is taken
-/// from `config` and governs the campaign from the snapshot time onward.
-/// Arming or disarming the health loop across the fork is allowed: a
-/// newly armed fork starts with fresh (empty-telemetry) breakers, a
-/// disarming fork drops the snapshot's breaker state.
-pub(crate) fn decode_forked(config: &ScenarioConfig, bytes: &[u8]) -> Result<Driver, String> {
-    let mut r = Reader::new(bytes);
-    decode_inner(config, &mut r, ResumeMode::Fork).map_err(|e| e.to_string())
+impl CheckedSnapshot {
+    /// The sim-time the snapshot was taken at: the clock of the last
+    /// event dispatched before its checkpoint boundary.
+    pub fn at(&self) -> SimTime {
+        self.driver.queue.now()
+    }
 }
 
-/// Fully decode-check a snapshot against `config` without resuming it,
-/// returning the sim-time it was taken at. This is what a resume ladder
-/// calls to decide whether a candidate checkpoint is usable before
-/// committing to it: a truncated, corrupted, version-skewed, or
-/// wrong-config snapshot is reported as an error (never a panic), so the
-/// caller can fall back to an older checkpoint.
-pub fn validate(config: &ScenarioConfig, bytes: &[u8]) -> Result<SimTime, String> {
-    validate_classified(config, bytes).map_err(|e| e.to_string())
+/// Decode `bytes` and check them against `config` under `mode`. A
+/// truncated, corrupted, version-skewed, or wrong-config snapshot is a
+/// classified error (never a panic), so a resume ladder can decide on the
+/// class whether to fall back to an older checkpoint — and runs the
+/// snapshot it accepted without decoding it again.
+pub fn decode(
+    config: &ScenarioConfig,
+    bytes: &[u8],
+    mode: Mode,
+) -> Result<CheckedSnapshot, SnapshotError> {
+    let mut r = Reader::new(bytes);
+    decode_inner(config, &mut r, mode)
+        .map(|driver| CheckedSnapshot {
+            driver: Box::new(driver),
+        })
+        .map_err(|e| SnapshotError {
+            kind: classify(&e.what),
+            message: e.to_string(),
+        })
 }
 
 /// Coarse taxonomy of snapshot validation failures. Resume ladders and
@@ -253,20 +282,6 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// [`validate`] with the failure classified into [`SnapshotErrorKind`].
-pub fn validate_classified(
-    config: &ScenarioConfig,
-    bytes: &[u8],
-) -> Result<SimTime, SnapshotError> {
-    let mut r = Reader::new(bytes);
-    decode_inner(config, &mut r, ResumeMode::Strict)
-        .map(|d| d.queue.now())
-        .map_err(|e| SnapshotError {
-            kind: classify(&e.what),
-            message: e.to_string(),
-        })
-}
-
 /// Map a codec diagnostic onto the coarse taxonomy. The codec's error
 /// strings are part of its tested contract (`truncated: …`, `snapshot
 /// layout version … found`, `… fingerprint mismatch …`), so matching on
@@ -291,10 +306,13 @@ pub fn peek_version(bytes: &[u8]) -> Result<u32, String> {
     r.get_u32().map_err(|e| e.to_string())
 }
 
+/// Parse the payload into a [`DriverState`], continue it under `config`
+/// through `apply_fork` and range-check every id the restored state
+/// indexes with.
 fn decode_inner(
     config: &ScenarioConfig,
     r: &mut Reader<'_>,
-    mode: ResumeMode,
+    mode: Mode,
 ) -> Result<Driver, CodecError> {
     let version = r.get_u32()?;
     if version != SNAPSHOT_VERSION {
@@ -303,252 +321,99 @@ fn decode_inner(
             format!("snapshot layout version {version} found, supported {SNAPSHOT_VERSION}"),
         ));
     }
-
-    // A freshly constructed driver supplies all config-derived state; the
-    // snapshot then overwrites everything mutable. `Driver::new` does not
-    // seed the catalog or push events — that is `start()`, which a resume
-    // must never run. Under `ResumeMode::Fork` the config-derived state
-    // (fault oracle, retry policy, breaker thresholds, samplers) is
-    // exactly where the forked knobs take effect.
-    let mut d = Driver::new(config.clone());
-
-    let seed = r.get_u64()?;
-    let duration_ms = r.get_i64()?;
-    let initial_datasets = r.get_u64()?;
-    let n_sites = r.get_u32()? as usize;
-    let behavior_fp = r.get_u64()?;
-    let structural_fp = r.get_u64()?;
-    if structural_fp != config.structural_fingerprint() || n_sites != d.topology.n_sites() {
-        return Err(bad(
-            r,
-            format!(
-                "snapshot structural fingerprint mismatch: taken under seed {seed} with \
-                 {n_sites} sites — {} config has seed {} and {} sites (seed and topology can \
-                 never change across a resume or fork)",
-                if mode == ResumeMode::Fork {
-                    "fork"
-                } else {
-                    "resume"
-                },
-                config.seed,
-                d.topology.n_sites()
-            ),
-        ));
-    }
-    if mode == ResumeMode::Strict {
-        if seed != config.seed
-            || duration_ms != config.duration.as_millis()
-            || initial_datasets != config.initial_datasets as u64
-        {
-            return Err(bad(
-                r,
-                format!(
-                    "snapshot fingerprint mismatch: taken under seed {seed}, duration {duration_ms} ms, \
-                     {initial_datasets} datasets — resume config has seed {}, \
-                     duration {} ms, {} datasets",
-                    config.seed,
-                    config.duration.as_millis(),
-                    config.initial_datasets,
-                ),
-            ));
-        }
-        if behavior_fp != config.behavior_fingerprint() {
-            return Err(bad(
-                r,
-                format!(
-                    "snapshot behavior fingerprint mismatch ({behavior_fp:#018x} vs \
-                     {:#018x}): the resume config differs in a behavior-affecting knob \
-                     (fault rates, breaker settings, retry budget, workload, corruption, \
-                     or traffic fractions); resuming would silently replay divergent \
-                     state — use the deliberate fork entry point if the change is intended",
-                    config.behavior_fingerprint()
-                ),
-            ));
-        }
-    }
-
-    // Clock + event queue. The queue is restored last, once the tables
-    // its pending jobs point into are decoded and checked.
+    let origin = Origin {
+        seed: r.get_u64()?,
+        duration_ms: r.get_i64()?,
+        initial_datasets: r.get_u64()?,
+        n_sites: r.get_u32()?,
+        behavior_fp: r.get_u64()?,
+        structural_fp: r.get_u64()?,
+    };
     let now = get_time(r)?;
     let next_seq = r.get_u64()?;
-    let n = r.get_seq_len(17)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let t = get_time(r)?;
-        if t < now {
-            return Err(bad(
-                r,
-                format!("queue entry at {t:?} is before the clock {now:?}"),
-            ));
-        }
-        let seq = r.get_u64()?;
-        if seq >= next_seq {
-            return Err(bad(
-                r,
-                format!("queue entry seq {seq} >= next_seq {next_seq}"),
-            ));
-        }
-        let ev = get_event(r)?;
-        entries.push((t, seq, ev));
-    }
-
-    // Driver RNG streams.
-    d.rng_task = get_rng(r)?;
-    d.rng_job = get_rng(r)?;
-    d.rng_bg = get_rng(r)?;
-
-    // Transfer engine.
-    let engine_snap = get_engine(r)?;
-    d.engine
-        .restore(engine_snap)
-        .map_err(|e| bad(r, format!("transfer engine: {e}")))?;
-
-    // Replica catalog.
-    d.catalog = get_catalog(r)?;
-
-    // Replication rules.
-    let n = r.get_seq_len(8)?;
-    let mut rules = Vec::with_capacity(n);
-    for _ in 0..n {
-        rules.push(get_rule(r)?);
-    }
-    d.rules = RuleEngine::from_rules(rules).map_err(|e| bad(r, format!("rules: {e}")))?;
-
-    // Circuit breakers. On a strict resume the armed/disarmed choice must
-    // agree with the config, otherwise the resumed decision paths would
-    // diverge from the run that produced the snapshot. A deliberate fork
-    // may flip the switch: arming starts fresh breakers (empty
-    // telemetry), disarming drops the snapshot's breaker state.
-    let had_health = r.get_bool()?;
-    let snap_health = if had_health {
-        let snap = get_health(r)?;
-        if snap.sites.len() != d.topology.n_sites() {
-            return Err(bad(
-                r,
-                format!(
-                    "health snapshot covers {} sites, topology has {}",
-                    snap.sites.len(),
-                    d.topology.n_sites()
-                ),
-            ));
-        }
-        Some(snap)
-    } else {
-        None
+    let state = DriverState {
+        origin,
+        now,
+        next_seq,
+        queue: get_seq(r, 17, |r| {
+            let t = get_time(r)?;
+            if t < now {
+                return Err(bad(
+                    r,
+                    format!("queue entry at {t:?} is before the clock {now:?}"),
+                ));
+            }
+            let seq = r.get_u64()?;
+            if seq >= next_seq {
+                return Err(bad(
+                    r,
+                    format!("queue entry seq {seq} >= next_seq {next_seq}"),
+                ));
+            }
+            Ok((t, seq, get_event(r)?))
+        })?,
+        rng_task: get_rng(r)?,
+        rng_job: get_rng(r)?,
+        rng_bg: get_rng(r)?,
+        engine: get_engine(r)?,
+        catalog: get_catalog(r)?,
+        rules: {
+            let rules = get_seq(r, 8, get_rule)?;
+            RuleEngine::from_rules(rules).map_err(|e| bad(r, format!("rules: {e}")))?
+        },
+        health: if r.get_bool()? {
+            Some(get_health(r)?)
+        } else {
+            None
+        },
+        queued: get_seq(r, 4, |r| r.get_u32())?,
+        running: get_seq(r, 4, |r| r.get_u32())?,
+        compute_slots: get_seq(r, 8, |r| {
+            let slots = get_seq(r, 8, |r| Ok(Reverse(get_millis(r)?)))?;
+            Ok(BinaryHeap::from(slots))
+        })?,
+        tasks: get_seq(r, 19, get_task_ctx)?,
+        finished: get_seq(r, 60, |r| Ok((get_job(r)?, r.get_u32()?, r.get_bool()?)))?,
+        transfers: get_seq(r, 80, |r| Ok((get_transfer_event(r)?, r.get_bool()?)))?,
+        next_pandaid: r.get_u64()?,
+        next_taskid: r.get_u64()?,
+        next_dio_id: r.get_u64()?,
+        next_output_seq: r.get_u64()?,
+        // Delivered-event counter (v2).
+        events_processed: r.get_u64()?,
     };
-    d.health = match (snap_health, config.health.enabled) {
-        (None, false) => None,
-        (Some(snap), true) => Some(HealthMonitor::restore(config.health.clone(), snap)),
-        (None, true) if mode == ResumeMode::Fork => Some(HealthMonitor::new(
-            config.health.clone(),
-            d.topology.n_sites(),
-        )),
-        (Some(_), false) if mode == ResumeMode::Fork => None,
-        (snap, cfg_armed) => {
-            return Err(bad(
-                r,
-                format!(
-                    "health loop mismatch: snapshot armed = {}, config armed = {cfg_armed}",
-                    snap.is_some()
-                ),
-            ));
-        }
-    };
-
-    // Brokerage load feedback + compute slots.
-    d.queued = get_u32_seq(r, d.topology.n_sites(), "queued")?;
-    d.running = get_u32_seq(r, d.topology.n_sites(), "running")?;
-    let n = r.get_seq_len(8)?;
-    if n != d.compute_slots.len() {
-        return Err(bad(
-            r,
-            format!(
-                "{n} compute-slot rows, topology has {}",
-                d.compute_slots.len()
-            ),
-        ));
-    }
-    for (site, heap) in d.compute_slots.iter_mut().enumerate() {
-        let k = r.get_seq_len(8)?;
-        if k != heap.len() {
-            return Err(bad(
-                r,
-                format!(
-                    "site {site} has {k} slot clocks, topology says {}",
-                    heap.len()
-                ),
-            ));
-        }
-        let mut fresh = BinaryHeap::with_capacity(k);
-        for _ in 0..k {
-            fresh.push(Reverse(get_millis(r)?));
-        }
-        *heap = fresh;
-    }
-
-    // Task contexts.
-    let n = r.get_seq_len(19)?;
-    let mut tasks = Vec::with_capacity(n);
-    for _ in 0..n {
-        tasks.push(get_task_ctx(r)?);
-    }
-    d.tasks = tasks;
-
-    // Finished jobs. Task indices must point into the task table.
-    let n = r.get_seq_len(60)?;
-    let mut finished = Vec::with_capacity(n);
-    for _ in 0..n {
-        let job = get_job(r)?;
-        let task_idx = r.get_u32()?;
-        if task_idx as usize >= d.tasks.len() {
-            return Err(bad(
-                r,
-                format!(
-                    "finished job points at task {task_idx} of {}",
-                    d.tasks.len()
-                ),
-            ));
-        }
-        let recorded_upload = r.get_bool()?;
-        finished.push((job, task_idx, recorded_upload));
-    }
-    d.finished = finished;
-
-    // Ground-truth transfer events.
-    let n = r.get_seq_len(80)?;
-    let mut transfers = Vec::with_capacity(n);
-    let n_syms = d.catalog.names().len() as u32;
-    for i in 0..n {
-        let ev = get_transfer_event(r)?;
-        if ev.lfn.0 >= n_syms || ev.dataset.0 >= n_syms || ev.proddblock.0 >= n_syms {
-            return Err(bad(
-                r,
-                format!("transfer event {i} name symbol out of range"),
-            ));
-        }
-        let recorded = r.get_bool()?;
-        transfers.push((ev, recorded));
-    }
-    d.transfers = transfers;
-
-    // Id counters.
-    d.next_pandaid = r.get_u64()?;
-    d.next_taskid = r.get_u64()?;
-    d.next_dio_id = r.get_u64()?;
-    d.next_output_seq = r.get_u64()?;
-
-    // Delivered-event counter (v2).
-    d.events_processed = r.get_u64()?;
-
     if !r.is_exhausted() {
         return Err(bad(
             r,
             format!("{} trailing bytes after snapshot payload", r.remaining()),
         ));
     }
-    check_references(&d, &entries).map_err(|what| bad(r, what))?;
-    d.queue = EventQueue::restore(entries, next_seq, now);
+    let d = apply_fork(config, state, mode).map_err(|what| bad(r, what))?;
+    check_references(&d).map_err(|what| bad(r, what))?;
     Ok(d)
+}
+
+/// A length-prefixed sequence, the mirror of [`get_seq`].
+fn put_seq<T>(w: &mut Writer, items: &[T], mut item: impl FnMut(&mut Writer, &T)) {
+    w.put_seq_len(items.len());
+    for x in items {
+        item(w, x);
+    }
+}
+
+/// A length-prefixed sequence; `min_bytes` is the smallest encoding of
+/// one item, which bounds the declared length by the bytes left.
+fn get_seq<T>(
+    r: &mut Reader<'_>,
+    min_bytes: usize,
+    mut item: impl FnMut(&mut Reader<'_>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let n = r.get_seq_len(min_bytes)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(item(r)?);
+    }
+    Ok(out)
 }
 
 /// Range-check every id the restored state will index a table with:
@@ -557,7 +422,7 @@ fn decode_inner(
 /// only that the bytes arrived as written, not that whoever wrote them
 /// was honest, so a payload that passes it can still name a site the
 /// grid does not have; it is refused here rather than indexed later.
-fn check_references(d: &Driver, queue: &[(SimTime, u64, Event)]) -> Result<(), String> {
+fn check_references(d: &Driver) -> Result<(), String> {
     let n_sites = d.topology.n_sites();
     let n_rses = d.topology.rses().len();
     let n_files = d.catalog.files().len() as u64;
@@ -615,7 +480,7 @@ fn check_references(d: &Driver, queue: &[(SimTime, u64, Event)]) -> Result<(), S
             }
         }
     }
-    for (i, (_, _, ev)) in queue.iter().enumerate() {
+    for (i, (_, _, ev)) in d.queue.snapshot_entries().into_iter().enumerate() {
         let (Event::JobCreated(pj) | Event::StagingDone(pj) | Event::ExecDone(pj)) = ev else {
             continue;
         };
@@ -631,12 +496,24 @@ fn check_references(d: &Driver, queue: &[(SimTime, u64, Event)]) -> Result<(), S
         }
         files(&pj.input_files, "queued job", i)?;
     }
-    for (i, (job, _, _)) in d.finished.iter().enumerate() {
+    for (i, (job, task_idx, _)) in d.finished.iter().enumerate() {
+        if *task_idx as usize >= n_tasks {
+            return Err(format!(
+                "finished job {i} points at task {task_idx} of {n_tasks}"
+            ));
+        }
         site(job.computing_site, "finished job", i)?;
         files(&job.input_files, "finished job", i)?;
         files(&job.output_files, "finished job", i)?;
     }
+    let n_syms = d.catalog.names().len() as u32;
     for (i, (ev, _)) in d.transfers.iter().enumerate() {
+        if [ev.lfn, ev.dataset, ev.proddblock]
+            .iter()
+            .any(|s| s.0 >= n_syms)
+        {
+            return Err(format!("transfer event {i} name symbol out of range"));
+        }
         files(&[ev.file], "transfer event", i)?;
         site(ev.source_site, "transfer event", i)?;
         site(ev.destination_site, "transfer event", i)?;
@@ -714,34 +591,12 @@ fn get_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, CodecError> {
     })
 }
 
-fn put_u32_seq(w: &mut Writer, xs: &[u32]) {
-    w.put_seq_len(xs.len());
-    for &x in xs {
-        w.put_u32(x);
-    }
-}
-
-fn get_u32_seq(r: &mut Reader<'_>, want: usize, what: &str) -> Result<Vec<u32>, CodecError> {
-    let n = r.get_seq_len(4)?;
-    if n != want {
-        return Err(bad(
-            r,
-            format!("{what} has {n} entries, topology wants {want}"),
-        ));
-    }
-    (0..n).map(|_| r.get_u32()).collect()
-}
-
 fn put_file_ids(w: &mut Writer, xs: &[FileId]) {
-    w.put_seq_len(xs.len());
-    for x in xs {
-        w.put_u64(x.0);
-    }
+    put_seq(w, xs, |w, x| w.put_u64(x.0));
 }
 
 fn get_file_ids(r: &mut Reader<'_>) -> Result<Vec<FileId>, CodecError> {
-    let n = r.get_seq_len(8)?;
-    (0..n).map(|_| Ok(FileId(r.get_u64()?))).collect()
+    get_seq(r, 8, |r| Ok(FileId(r.get_u64()?)))
 }
 
 fn put_scope(w: &mut Writer, s: Scope) {
@@ -845,11 +700,10 @@ fn put_pending_job(w: &mut Writer, pj: &PendingJob) {
             w.put_u32(rse.0);
         }
     }
-    w.put_seq_len(pj.stage_intervals.len());
-    for iv in &pj.stage_intervals {
+    put_seq(w, &pj.stage_intervals, |w, iv| {
         put_time(w, iv.start);
         put_time(w, iv.end);
-    }
+    });
     put_time(w, pj.staging_end);
     w.put_bool(pj.lost_input);
     w.put_bool(pj.rebrokered);
@@ -873,13 +727,7 @@ fn get_pending_job(r: &mut Reader<'_>) -> Result<PendingJob, CodecError> {
     } else {
         None
     };
-    let n = r.get_seq_len(16)?;
-    let mut stage_intervals = Vec::with_capacity(n);
-    for _ in 0..n {
-        let start = get_time(r)?;
-        let end = get_time(r)?;
-        stage_intervals.push(Interval::new(start, end));
-    }
+    let stage_intervals = get_seq(r, 16, |r| Ok(Interval::new(get_time(r)?, get_time(r)?)))?;
     let staging_end = get_time(r)?;
     let lost_input = r.get_bool()?;
     let rebrokered = r.get_bool()?;
@@ -939,13 +787,7 @@ fn get_event(r: &mut Reader<'_>) -> Result<Event, CodecError> {
 }
 
 fn put_engine(w: &mut Writer, s: &TransferEngineSnapshot) {
-    w.put_seq_len(s.slots.len());
-    for row in &s.slots {
-        w.put_seq_len(row.len());
-        for &t in row {
-            w.put_i64(t);
-        }
-    }
+    put_seq(w, &s.slots, |w, row| put_seq(w, row, |w, t| w.put_i64(*t)));
     w.put_u64(s.next_id);
     for word in s.jitter_rng {
         w.put_u64(word);
@@ -963,16 +805,7 @@ fn put_engine(w: &mut Writer, s: &TransferEngineSnapshot) {
 }
 
 fn get_engine(r: &mut Reader<'_>) -> Result<TransferEngineSnapshot, CodecError> {
-    let n = r.get_seq_len(8)?;
-    let mut slots = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = r.get_seq_len(8)?;
-        let mut row = Vec::with_capacity(k);
-        for _ in 0..k {
-            row.push(get_millis(r)?);
-        }
-        slots.push(row);
-    }
+    let slots = get_seq(r, 8, |r| get_seq(r, 8, get_millis))?;
     let next_id = r.get_u64()?;
     let mut jitter_rng = [0u64; 4];
     for word in &mut jitter_rng {
@@ -1003,88 +836,62 @@ fn put_catalog(w: &mut Writer, c: &ReplicaCatalog) {
     // Symbol table first: every string once, in dense sym order, so the
     // per-entry name fields below are plain u32 handles.
     put_symbol_table(w, c.names());
-    w.put_seq_len(c.files().len());
-    for f in c.files() {
+    put_seq(w, c.files(), |w, f| {
         w.put_u64(f.id.0);
         w.put_u32(f.lfn.0);
         put_scope(w, f.scope);
         w.put_u64(f.size);
         w.put_u64(f.dataset.0);
         put_time(w, f.registered);
-    }
-    w.put_seq_len(c.datasets().len());
-    for ds in c.datasets() {
+    });
+    put_seq(w, c.datasets(), |w, ds| {
         w.put_u64(ds.id.0);
         w.put_u32(ds.name.0);
         put_scope(w, ds.scope);
         w.put_u32(ds.prod_dblock.0);
         put_file_ids(w, &ds.files);
         w.put_u64(ds.total_bytes);
-    }
-    w.put_seq_len(c.containers().len());
-    for ct in c.containers() {
+    });
+    put_seq(w, c.containers(), |w, ct| {
         w.put_u64(ct.id.0);
         w.put_str(&ct.name.0);
-        w.put_seq_len(ct.datasets.len());
-        for d in &ct.datasets {
-            w.put_u64(d.0);
-        }
-    }
-    w.put_seq_len(c.replicas().len());
-    for set in c.replicas() {
-        w.put_seq_len(set.len());
-        for rse in set {
-            w.put_u32(rse.0);
-        }
-    }
+        put_seq(w, &ct.datasets, |w, d| w.put_u64(d.0));
+    });
+    put_seq(w, c.replicas(), |w, set| {
+        put_seq(w, set, |w, rse| w.put_u32(rse.0))
+    });
 }
 
 fn get_catalog(r: &mut Reader<'_>) -> Result<ReplicaCatalog, CodecError> {
     let names = get_symbol_table(r)?;
-    let n = r.get_seq_len(35)?;
-    let mut files = Vec::with_capacity(n);
-    for _ in 0..n {
-        files.push(FileEntry {
+    let files = get_seq(r, 35, |r| {
+        Ok(FileEntry {
             id: FileId(r.get_u64()?),
             lfn: Sym(r.get_u32()?),
             scope: get_scope(r)?,
             size: get_file_size(r)?,
             dataset: DatasetId(r.get_u64()?),
             registered: get_time(r)?,
-        });
-    }
-    let n = r.get_seq_len(40)?;
-    let mut datasets = Vec::with_capacity(n);
-    for _ in 0..n {
-        datasets.push(DatasetEntry {
+        })
+    })?;
+    let datasets = get_seq(r, 40, |r| {
+        Ok(DatasetEntry {
             id: DatasetId(r.get_u64()?),
             name: Sym(r.get_u32()?),
             scope: get_scope(r)?,
             prod_dblock: Sym(r.get_u32()?),
             files: get_file_ids(r)?,
             total_bytes: r.get_u64()?,
-        });
-    }
-    let n = r.get_seq_len(24)?;
-    let mut containers = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = ContainerId(r.get_u64()?);
-        let name = DidName(r.get_str()?);
-        let k = r.get_seq_len(8)?;
-        let datasets = (0..k)
-            .map(|_| Ok(DatasetId(r.get_u64()?)))
-            .collect::<Result<Vec<_>, CodecError>>()?;
-        containers.push(ContainerEntry { id, name, datasets });
-    }
-    let n = r.get_seq_len(8)?;
-    let mut replicas = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = r.get_seq_len(4)?;
-        let set = (0..k)
-            .map(|_| Ok(RseId(r.get_u32()?)))
-            .collect::<Result<Vec<_>, CodecError>>()?;
-        replicas.push(set);
-    }
+        })
+    })?;
+    let containers = get_seq(r, 24, |r| {
+        Ok(ContainerEntry {
+            id: ContainerId(r.get_u64()?),
+            name: DidName(r.get_str()?),
+            datasets: get_seq(r, 8, |r| Ok(DatasetId(r.get_u64()?)))?,
+        })
+    })?;
+    let replicas = get_seq(r, 8, |r| get_seq(r, 4, |r| Ok(RseId(r.get_u32()?))))?;
     let off = r.offset();
     ReplicaCatalog::from_parts(names, files, datasets, containers, replicas).map_err(|e| {
         CodecError {
@@ -1136,10 +943,7 @@ fn get_symbol_table(r: &mut Reader<'_>) -> Result<SymbolTable, CodecError> {
 fn put_rule(w: &mut Writer, rule: &ReplicationRule) {
     w.put_u64(rule.id.0);
     w.put_u64(rule.dataset.0);
-    w.put_seq_len(rule.candidate_rses.len());
-    for rse in &rule.candidate_rses {
-        w.put_u32(rse.0);
-    }
+    put_seq(w, &rule.candidate_rses, |w, rse| w.put_u32(rse.0));
     w.put_u64(rule.copies as u64);
     put_time(w, rule.created);
     match rule.lifetime {
@@ -1154,10 +958,7 @@ fn put_rule(w: &mut Writer, rule: &ReplicationRule) {
 fn get_rule(r: &mut Reader<'_>) -> Result<ReplicationRule, CodecError> {
     let id = RuleId(r.get_u64()?);
     let dataset = DatasetId(r.get_u64()?);
-    let n = r.get_seq_len(4)?;
-    let candidate_rses = (0..n)
-        .map(|_| Ok(RseId(r.get_u32()?)))
-        .collect::<Result<Vec<_>, CodecError>>()?;
+    let candidate_rses = get_seq(r, 4, |r| Ok(RseId(r.get_u32()?)))?;
     let copies = r.get_u64()? as usize;
     let created = get_time(r)?;
     let lifetime = if r.get_bool()? {
@@ -1206,11 +1007,10 @@ fn put_breaker(w: &mut Writer, b: &BreakerSnapshot) {
         BreakerState::Open => 1,
         BreakerState::HalfOpen => 2,
     });
-    w.put_seq_len(b.samples.len());
-    for &(t, failed) in &b.samples {
+    put_seq(w, &b.samples, |w, &(t, failed)| {
         put_time(w, t);
         w.put_bool(failed);
-    }
+    });
     w.put_u32(b.consecutive_failures);
     put_time(w, b.open_until);
     w.put_u32(b.probes_granted);
@@ -1224,16 +1024,9 @@ fn get_breaker(r: &mut Reader<'_>) -> Result<BreakerSnapshot, CodecError> {
         2 => BreakerState::HalfOpen,
         t => return Err(bad(r, format!("unknown breaker state tag {t}"))),
     };
-    let n = r.get_seq_len(9)?;
-    let mut samples = Vec::with_capacity(n);
-    for _ in 0..n {
-        let t = get_time(r)?;
-        let failed = r.get_bool()?;
-        samples.push((t, failed));
-    }
     Ok(BreakerSnapshot {
         state,
-        samples,
+        samples: get_seq(r, 9, |r| Ok((get_time(r)?, r.get_bool()?)))?,
         consecutive_failures: r.get_u32()?,
         open_until: get_time(r)?,
         probes_granted: r.get_u32()?,
@@ -1242,22 +1035,17 @@ fn get_breaker(r: &mut Reader<'_>) -> Result<BreakerSnapshot, CodecError> {
 }
 
 fn put_health(w: &mut Writer, h: &HealthSnapshot) {
-    w.put_seq_len(h.sites.len());
-    for b in &h.sites {
-        put_breaker(w, b);
-    }
-    w.put_seq_len(h.links.len());
-    for ((src, dst), b) in &h.links {
+    put_seq(w, &h.sites, put_breaker);
+    put_seq(w, &h.links, |w, ((src, dst), b)| {
         w.put_u32(src.0);
         w.put_u32(dst.0);
         put_breaker(w, b);
-    }
-    w.put_seq_len(h.episodes.len());
-    for ep in &h.episodes {
+    });
+    put_seq(w, &h.episodes, |w, ep| {
         put_subject(w, ep.subject);
         put_time(w, ep.from);
         put_time(w, ep.until);
-    }
+    });
     w.put_u64(h.counters.site_refusals);
     w.put_u64(h.counters.link_refusals);
     w.put_u64(h.counters.probes_granted);
@@ -1265,41 +1053,25 @@ fn put_health(w: &mut Writer, h: &HealthSnapshot) {
 }
 
 fn get_health(r: &mut Reader<'_>) -> Result<HealthSnapshot, CodecError> {
-    let n = r.get_seq_len(26)?;
-    let mut sites = Vec::with_capacity(n);
-    for _ in 0..n {
-        sites.push(get_breaker(r)?);
-    }
-    let n = r.get_seq_len(34)?;
-    let mut links = Vec::with_capacity(n);
-    for _ in 0..n {
-        let src = SiteId(r.get_u32()?);
-        let dst = SiteId(r.get_u32()?);
-        links.push(((src, dst), get_breaker(r)?));
-    }
-    let n = r.get_seq_len(17)?;
-    let mut episodes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let subject = get_subject(r)?;
-        let from = get_time(r)?;
-        let until = get_time(r)?;
-        episodes.push(OpenEpisode {
-            subject,
-            from,
-            until,
-        });
-    }
-    let counters = HealthCounters {
-        site_refusals: r.get_u64()?,
-        link_refusals: r.get_u64()?,
-        probes_granted: r.get_u64()?,
-        trips: r.get_u64()?,
-    };
     Ok(HealthSnapshot {
-        sites,
-        links,
-        episodes,
-        counters,
+        sites: get_seq(r, 26, get_breaker)?,
+        links: get_seq(r, 34, |r| {
+            let link = (SiteId(r.get_u32()?), SiteId(r.get_u32()?));
+            Ok((link, get_breaker(r)?))
+        })?,
+        episodes: get_seq(r, 17, |r| {
+            Ok(OpenEpisode {
+                subject: get_subject(r)?,
+                from: get_time(r)?,
+                until: get_time(r)?,
+            })
+        })?,
+        counters: HealthCounters {
+            site_refusals: r.get_u64()?,
+            link_refusals: r.get_u64()?,
+            probes_granted: r.get_u64()?,
+            trips: r.get_u64()?,
+        },
     })
 }
 
@@ -1432,7 +1204,48 @@ fn get_transfer_event(r: &mut Reader<'_>) -> Result<TransferEvent, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver;
+    use crate::driver::{self, DrainOpts, SharedPrefix, Start};
+
+    /// Strict decode, failing with the diagnostic.
+    fn decode(config: &ScenarioConfig, bytes: &[u8]) -> Result<Driver, String> {
+        super::decode(config, bytes, Mode::Resume)
+            .map(|s| *s.driver)
+            .map_err(|e| e.to_string())
+    }
+
+    /// Deliberate-fork decode, failing with the diagnostic.
+    fn decode_forked(config: &ScenarioConfig, bytes: &[u8]) -> Result<Driver, String> {
+        super::decode(config, bytes, Mode::Fork)
+            .map(|s| *s.driver)
+            .map_err(|e| e.to_string())
+    }
+
+    /// Run `config` to the end from a strictly resumed snapshot.
+    fn resume(config: &ScenarioConfig, bytes: &[u8]) -> Result<driver::Campaign, String> {
+        let snapshot = super::decode(config, bytes, Mode::Resume).map_err(|e| e.to_string())?;
+        driver::drain(
+            config,
+            DrainOpts {
+                start: Start::Snapshot(snapshot),
+                ..DrainOpts::default()
+            },
+        )
+    }
+
+    /// Run `config` from a cold start, checkpointing every `every`.
+    fn run_checkpointed(
+        config: &ScenarioConfig,
+        every: SimDuration,
+        sink: driver::SnapshotSink<'_>,
+    ) -> Result<driver::Campaign, String> {
+        driver::drain(
+            config,
+            DrainOpts {
+                checkpoints: Some((every, sink)),
+                ..DrainOpts::default()
+            },
+        )
+    }
 
     fn tiny() -> ScenarioConfig {
         ScenarioConfig {
@@ -1445,7 +1258,7 @@ mod tests {
     /// Collect every snapshot a checkpointed run emits.
     fn checkpoints(config: &ScenarioConfig, every: SimDuration) -> Vec<(SimTime, Vec<u8>)> {
         let mut out = Vec::new();
-        driver::run_checkpointed(config, every, &mut |t, bytes| {
+        run_checkpointed(config, every, &mut |t, bytes| {
             out.push((t, bytes.to_vec()));
             Ok(())
         })
@@ -1481,7 +1294,7 @@ mod tests {
         let config = tiny();
         let base = driver::run(&config);
         let checkpointed =
-            driver::run_checkpointed(&config, SimDuration::from_hours(1), &mut |_, _| Ok(()))
+            run_checkpointed(&config, SimDuration::from_hours(1), &mut |_, _| Ok(()))
                 .expect("no-op sink");
         assert_same_campaign(&base, &checkpointed);
     }
@@ -1493,8 +1306,8 @@ mod tests {
         let cps = checkpoints(&config, SimDuration::from_hours(2));
         assert!(cps.len() >= 2, "only {} checkpoints", cps.len());
         for (t, bytes) in &cps {
-            let resumed = driver::resume_checkpointed(&config, bytes, None, &mut |_, _| Ok(()))
-                .unwrap_or_else(|e| panic!("resume from {t:?} failed: {e}"));
+            let resumed =
+                resume(&config, bytes).unwrap_or_else(|e| panic!("resume from {t:?} failed: {e}"));
             assert_same_campaign(&base, &resumed);
         }
     }
@@ -1515,8 +1328,7 @@ mod tests {
             let cps = checkpoints(&config, SimDuration::from_hours(2));
             assert!(!cps.is_empty());
             let (_, bytes) = &cps[cps.len() / 2];
-            let resumed =
-                driver::resume_checkpointed(&config, bytes, None, &mut |_, _| Ok(())).unwrap();
+            let resumed = resume(&config, bytes).unwrap();
             assert_same_campaign(&base, &resumed);
         }
     }
@@ -1661,13 +1473,62 @@ mod tests {
     }
 
     #[test]
+    fn in_memory_fork_matches_the_codec_fork_across_the_health_matrix() {
+        // A sweep cell forks its live prefix in memory; `run_forked` (and
+        // `simulate --fork-at`) goes through encode and a forked decode.
+        // Both end in the one fork rule, so every cell of the arm/disarm
+        // matrix, and a fault-rate change, must agree byte for byte.
+        let off = ScenarioConfig {
+            duration: SimDuration::from_hours(6),
+            ..ScenarioConfig::small_faulty()
+        };
+        let armed = ScenarioConfig {
+            duration: SimDuration::from_hours(6),
+            ..ScenarioConfig::faulty_adaptive()
+        };
+        let mut hotter = off.clone();
+        hotter.faults.p_attempt_failure += 0.05;
+        let mut armed_slower = armed.clone();
+        armed_slower.health.cooldown = SimDuration::from_secs(600);
+        armed_slower.faults.p_attempt_failure += 0.05;
+        let at = SimTime::EPOCH + SimDuration::from_hours(3);
+
+        for (what, base, fork) in [
+            ("off -> off, hotter faults", &off, &hotter),
+            ("off -> armed", &off, &armed),
+            ("armed -> off", &armed, &off),
+            ("armed -> armed, other breakers", &armed, &armed_slower),
+        ] {
+            let prefix = SharedPrefix::new(base, at, None).unwrap();
+            let in_memory = driver::drain(
+                fork,
+                DrainOpts {
+                    start: Start::Prefix(&prefix),
+                    ..DrainOpts::default()
+                },
+            )
+            .unwrap_or_else(|e| panic!("{what}: in-memory fork failed: {e}"));
+            let codec = driver::run_forked(base, fork, at)
+                .unwrap_or_else(|e| panic!("{what}: codec fork failed: {e}"));
+            assert_eq!(in_memory.events_processed, codec.events_processed, "{what}");
+            assert_eq!(in_memory.health.is_some(), fork.health.enabled, "{what}");
+            assert_same_campaign(&in_memory, &codec);
+        }
+
+        // The forked knob took effect: the hotter fork is not the base run.
+        let base_run = driver::run(&off);
+        let hot_fork = driver::run_forked(&off, &hotter, at).unwrap();
+        assert_ne!(base_run.path_stats, hot_fork.path_stats);
+    }
+
+    #[test]
     fn prefix_snapshot_matches_the_checkpoint_at_the_same_boundary() {
         let config = tiny();
         let every = SimDuration::from_hours(2);
         let cps = checkpoints(&config, every);
         for (t, bytes) in &cps {
             assert_eq!(
-                &driver::prefix_snapshot(&config, *t),
+                &SharedPrefix::new(&config, *t, None).unwrap().encode(),
                 bytes,
                 "prefix snapshot at {t:?} drifted from the checkpointed emission"
             );

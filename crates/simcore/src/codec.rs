@@ -265,7 +265,7 @@ static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 ///
 /// On x86_64 with `pclmulqdq` and `sse4.1` (detected at run time) inputs
 /// of 64 bytes or more are folded 16 bytes at a time with carry-less
-/// multiplies ([`clmul`]), and the last `len % 16` bytes go through the
+/// multiplies (the `clmul` module), and the last `len % 16` bytes go through the
 /// table kernel. Everywhere else, and for shorter inputs, the
 /// slicing-by-8 table kernel does all of it. Both give the same value.
 pub fn crc32(bytes: &[u8]) -> u32 {

@@ -4,7 +4,8 @@
 //! log, and health telemetry of the uninterrupted run: `resume(save(t))`
 //! is `run-to-end` for every `t` the checkpoint cadence produces.
 
-use dmsa::scenario::{self, snapshot, ScenarioConfig};
+use dmsa::scenario::snapshot::{self, Mode};
+use dmsa::scenario::{self, Campaign, DrainOpts, ScenarioConfig, SnapshotSink, Start};
 use dmsa::simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -28,6 +29,29 @@ fn config_for(
     c
 }
 
+/// Run `config` from a cold start, checkpointing every `every`.
+fn run_checkpointed(
+    config: &ScenarioConfig,
+    every: SimDuration,
+    sink: SnapshotSink<'_>,
+) -> Result<Campaign, String> {
+    let opts = DrainOpts {
+        checkpoints: Some((every, sink)),
+        ..DrainOpts::default()
+    };
+    scenario::drain(config, opts)
+}
+
+/// Decode `payload` under `config` in `mode` and run it to the end.
+fn resume(config: &ScenarioConfig, payload: &[u8], mode: Mode) -> Result<Campaign, String> {
+    let checked = snapshot::decode(config, payload, mode).map_err(|e| e.to_string())?;
+    let opts = DrainOpts {
+        start: Start::Snapshot(checked),
+        ..DrainOpts::default()
+    };
+    scenario::drain(config, opts)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     #[test]
@@ -46,7 +70,7 @@ proptest! {
 
         // Uninterrupted reference, collecting the snapshot stream.
         let mut snaps: Vec<(SimTime, Vec<u8>)> = Vec::new();
-        let full = scenario::run_checkpointed(&config, every, &mut |at, bytes| {
+        let full = run_checkpointed(&config, every, &mut |at, bytes| {
             snaps.push((at, bytes.to_vec()));
             Ok(())
         })
@@ -56,9 +80,8 @@ proptest! {
         for (at, bytes) in &snaps {
             // The snapshot's clock is the last event processed before the
             // cadence boundary, so it sits at or before the boundary time.
-            prop_assert!(snapshot::validate(&config, bytes).unwrap() <= *at);
-            let resumed =
-                scenario::resume_checkpointed(&config, bytes, None, &mut |_, _| Ok(())).unwrap();
+            prop_assert!(snapshot::decode(&config, bytes, Mode::Resume).unwrap().at() <= *at);
+            let resumed = resume(&config, bytes, Mode::Resume).unwrap();
             prop_assert_eq!(
                 format!("{:?}", resumed.store.jobs),
                 format!("{:?}", full.store.jobs),
@@ -89,7 +112,7 @@ fn real_snapshot(mode: u8) -> (ScenarioConfig, Vec<u8>) {
             .map(|m| {
                 let config = config_for(7, 6, 10.0, 40, m);
                 let mut first = None;
-                scenario::run_checkpointed(&config, SimDuration::from_hours(2), &mut |_, b| {
+                run_checkpointed(&config, SimDuration::from_hours(2), &mut |_, b| {
                     first.get_or_insert_with(|| b.to_vec());
                     Ok(())
                 })
@@ -104,11 +127,11 @@ fn real_snapshot(mode: u8) -> (ScenarioConfig, Vec<u8>) {
 /// Decode `payload` under `config`, strictly or as a fork, and run it to
 /// the end. Whatever it returns, it must return rather than panic.
 fn resume_or_refuse(config: &ScenarioConfig, payload: &[u8], fork: bool) {
-    let _ = if fork {
-        scenario::fork_with_config(config, payload, None, &mut |_, _| Ok(()))
-    } else {
-        scenario::resume_checkpointed(config, payload, None, &mut |_, _| Ok(()))
-    };
+    let _ = resume(
+        config,
+        payload,
+        if fork { Mode::Fork } else { Mode::Resume },
+    );
 }
 
 proptest! {
